@@ -4,15 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
-#include "accel/control.hpp"
-#include "accel/host_link.hpp"
-#include "accel/input_write.hpp"
-#include "accel/mem_module.hpp"
-#include "accel/output_module.hpp"
-#include "accel/read_module.hpp"
+#include "accel/device_graph.hpp"
 #include "accel/service_cycle_cache.hpp"
-#include "accel/state.hpp"
-#include "sim/simulator.hpp"
 
 namespace mann::accel {
 
@@ -47,6 +40,7 @@ class Fingerprint {
 std::uint64_t fingerprint_device(const AccelConfig& config,
                                  const DeviceProgram& program) noexcept {
   Fingerprint fp;
+  fp.mix(std::uint64_t{kSimModelVersion});
   fp.mix(config.clock_hz);
   fp.mix(config.timing.lane_width);
   fp.mix(config.timing.exp_latency);
@@ -120,6 +114,54 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
   fingerprint_ = fingerprint_device(config_, program_);
 }
 
+namespace {
+
+bool same_ops(const sim::OpCounts& a, const sim::OpCounts& b) noexcept {
+  return a.mac == b.mac && a.add == b.add && a.exp == b.exp &&
+         a.div == b.div && a.mem_read == b.mem_read &&
+         a.mem_write == b.mem_write && a.compare == b.compare;
+}
+
+bool same_fifo(const sim::FifoStats& a, const sim::FifoStats& b) noexcept {
+  return a.pushes == b.pushes && a.pops == b.pops &&
+         a.full_rejects == b.full_rejects && a.max_occupancy == b.max_occupancy;
+}
+
+}  // namespace
+
+bool run_results_identical(const RunResult& a, const RunResult& b) noexcept {
+  if (a.total_cycles != b.total_cycles ||
+      std::bit_cast<std::uint64_t>(a.seconds) !=
+          std::bit_cast<std::uint64_t>(b.seconds) ||
+      !same_ops(a.total_ops, b.total_ops) ||
+      !same_fifo(a.fifo_in_stats, b.fifo_in_stats) ||
+      !same_fifo(a.fifo_out_stats, b.fifo_out_stats) ||
+      a.link_active_cycles != b.link_active_cycles ||
+      a.stream_words != b.stream_words ||
+      a.stories.size() != b.stories.size() ||
+      a.modules.size() != b.modules.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.stories.size(); ++i) {
+    const StoryOutcome& x = a.stories[i];
+    const StoryOutcome& y = b.stories[i];
+    if (x.prediction != y.prediction || x.output_probes != y.output_probes ||
+        x.early_exit != y.early_exit || x.finish_cycle != y.finish_cycle) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.modules.size(); ++i) {
+    const ModuleReport& x = a.modules[i];
+    const ModuleReport& y = b.modules[i];
+    if (x.name != y.name || x.stats.busy_cycles != y.stats.busy_cycles ||
+        x.stats.stall_cycles != y.stats.stall_cycles ||
+        !same_ops(x.stats.ops, y.stats.ops)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 sim::FifoStats RunResult::queue_stats() const noexcept {
   sim::FifoStats combined = fifo_in_stats;
   combined += fifo_out_stats;
@@ -159,72 +201,85 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
 
 RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
                                 const RunOptions& options) const {
-  AcceleratorState state(program_);
-  if (options.model_resident) {
+  DeviceGraph graph(config_, program_, stories, options.model_resident);
+  (void)graph.simulator().run_events([&] { return graph.done(); },
+                                     config_.watchdog_cycles);
+  return graph.result();
+}
+
+DeviceGraph::DeviceGraph(const AccelConfig& config,
+                         const DeviceProgram& program,
+                         std::span<const data::EncodedStory> stories,
+                         bool model_resident)
+    : config_(config),
+      expected_(stories.size()),
+      state_(program),
+      fifo_in_("FIFO_IN", config.fifo_depth),
+      fifo_out_("FIFO_OUT", config.fifo_depth),
+      cmd_fifo_("CMD_FIFO", config.fifo_depth),
+      host_(config, model_resident ? 0 : program.model_words(),
+            encode_workload(0, stories), fifo_in_, fifo_out_),
+      control_(state_, fifo_in_, cmd_fifo_),
+      input_write_(state_, config, cmd_fifo_),
+      read_(state_, config),
+      mem_(state_, config),
+      output_(state_, config, fifo_out_) {
+  if (model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
     // model words and CONTROL must accept stories immediately.
-    state.model_words_seen = program_.model_words();
-    state.model_loaded = true;
+    state_.model_words_seen = program.model_words();
+    state_.model_loaded = true;
   }
-  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config_.fifo_depth);
-  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config_.fifo_depth);
-  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config_.fifo_depth);
-
-  HostLinkModule host(
-      config_,
-      encode_workload(options.model_resident ? 0 : program_.model_words(),
-                      stories),
-      fifo_in, fifo_out);
-  ControlModule control(state, fifo_in, cmd_fifo);
-  InputWriteModule input_write(state, config_, cmd_fifo);
-  MemModule mem(state, config_);
-  ReadModule read(state, config_);
-  OutputModule output(state, config_, fifo_out);
-
-  sim::Simulator simulator;
   // Producer-to-consumer order along the write path, then the read path.
-  simulator.add_module(host);
-  simulator.add_module(control);
-  simulator.add_module(input_write);
-  simulator.add_module(read);
-  simulator.add_module(mem);
-  simulator.add_module(output);
+  simulator_.add_module(host_);
+  simulator_.add_module(control_);
+  simulator_.add_module(input_write_);
+  simulator_.add_module(read_);
+  simulator_.add_module(mem_);
+  simulator_.add_module(output_);
+}
 
-  const std::size_t expected = stories.size();
-  simulator.run_until(
-      [&] { return host.answers().size() >= expected; },
-      config_.watchdog_cycles);
-
+RunResult DeviceGraph::result() const {
   RunResult result;
-  result.total_cycles = simulator.now();
+  result.total_cycles = simulator_.now();
   result.seconds =
       static_cast<double>(result.total_cycles) / config_.clock_hz;
-  result.stream_words = host.words_total();
-  result.link_active_cycles = host.link_active_cycles();
+  result.stream_words = host_.words_total();
+  result.link_active_cycles = host_.link_active_cycles();
 
-  const auto& records = output.records();
-  if (records.size() != expected || host.answers().size() != expected) {
+  const auto& records = output_.records();
+  if (records.size() != expected_ || host_.answers().size() != expected_) {
     throw std::logic_error("Accelerator: record/answer count mismatch");
   }
-  result.stories.reserve(expected);
-  for (std::size_t i = 0; i < expected; ++i) {
+  result.stories.reserve(expected_);
+  for (std::size_t i = 0; i < expected_; ++i) {
     StoryOutcome outcome;
     outcome.prediction = records[i].prediction;
     outcome.output_probes = records[i].probes;
     outcome.early_exit = records[i].early_exit;
-    outcome.finish_cycle = host.answers()[i].cycle;
+    outcome.finish_cycle = host_.answers()[i].cycle;
     result.stories.push_back(outcome);
   }
 
   const std::array<const sim::Module*, 6> all_modules = {
-      &host, &control, &input_write, &read, &mem, &output};
+      &host_, &control_, &input_write_, &read_, &mem_, &output_};
   for (const sim::Module* m : all_modules) {
     result.modules.push_back({m->name(), m->stats()});
     result.total_ops += m->stats().ops;
   }
-  result.fifo_in_stats = fifo_in.stats();
-  result.fifo_out_stats = fifo_out.stats();
+  result.fifo_in_stats = fifo_in_.stats();
+  result.fifo_out_stats = fifo_out_.stats();
   return result;
+}
+
+RunResult simulate_ticked(const AccelConfig& config,
+                          const DeviceProgram& program,
+                          std::span<const data::EncodedStory> stories,
+                          bool model_resident) {
+  DeviceGraph graph(config, program, stories, model_resident);
+  (void)graph.simulator().run_until([&] { return graph.done(); },
+                                    config.watchdog_cycles);
+  return graph.result();
 }
 
 }  // namespace mann::accel

@@ -15,6 +15,13 @@
 
 namespace mann::accel {
 
+/// Version of the simulated device model: bump whenever a change to the
+/// simulation can change any RunResult field for the same inputs.
+/// Persisted service-cycle caches record it and are discarded on a
+/// mismatch, and it salts every device fingerprint (the cache key), so a
+/// result one model version simulated is never replayed as another's.
+inline constexpr std::uint32_t kSimModelVersion = 1;
+
 /// One story's outcome as observed at the host.
 struct StoryOutcome {
   std::int32_t prediction = -1;
@@ -50,6 +57,12 @@ struct RunResult {
   /// introspect.
   [[nodiscard]] sim::FifoStats queue_stats() const noexcept;
 };
+
+/// Every field of `a` and `b` equal, doubles compared by bit pattern —
+/// the identity a fast path (event-driven simulation, cache replay) must
+/// hold against the run it stands in for.
+[[nodiscard]] bool run_results_identical(const RunResult& a,
+                                         const RunResult& b) noexcept;
 
 class ServiceCycleCache;
 
@@ -128,8 +141,9 @@ class Accelerator {
                               const RunOptions& options = {}) const;
 
  private:
-  /// The uncached path: builds the module graph and ticks it to
-  /// completion (run() adds the memoization layer on top).
+  /// The uncached path: builds the module graph and runs it to
+  /// completion on the event loop (run() adds the memoization layer on
+  /// top).
   [[nodiscard]] RunResult simulate(std::span<const data::EncodedStory> stories,
                                    const RunOptions& options) const;
 

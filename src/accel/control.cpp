@@ -7,8 +7,46 @@ namespace mann::accel {
 ControlModule::ControlModule(AcceleratorState& state,
                              sim::Fifo<StreamWord>& fifo_in,
                              sim::Fifo<InputCmd>& cmd_fifo)
-    : Module("CONTROL"), state_(state), fifo_in_(fifo_in),
+    : Module("CONTROL"),
+      state_(state),
+      model_words_(state.program.model_words()),
+      fifo_in_(fifo_in),
       cmd_fifo_(cmd_fifo) {}
+
+void ControlModule::retire_model_words(std::uint64_t words) {
+  state_.model_words_seen += words;
+  ops().mem_write += words;  // one BRAM weight-word write each
+  if (state_.model_words_seen >= model_words_) {
+    state_.model_loaded = true;
+  }
+  mark_busy(words);
+}
+
+std::optional<sim::Cycle> ControlModule::next_activity(sim::Cycle now) const {
+  const StreamWord* head = fifo_in_.peek();
+  if (head == nullptr) {
+    return sim::kNever;
+  }
+  const StreamWord* back = fifo_in_.peek_back();
+  if (head->op == StreamOp::kModelWord && back->op == StreamOp::kModelWord) {
+    return sim::kNever;  // upload words only: skip() retires them
+  }
+  return now;
+}
+
+void ControlModule::skip(sim::Cycle cycles) {
+  // Words the link streamed through a full FIFO_IN retire one per cycle
+  // without disturbing the queue; otherwise retire what is queued.
+  if (const std::uint64_t streamed = fifo_in_.take_streamed(); streamed > 0) {
+    retire_model_words(streamed);
+    return;
+  }
+  std::uint64_t popped = 0;
+  while (popped < cycles && fifo_in_.try_pop().has_value()) {
+    ++popped;
+  }
+  retire_model_words(popped);
+}
 
 void ControlModule::tick() {
   const StreamWord* word = fifo_in_.peek();
@@ -19,12 +57,7 @@ void ControlModule::tick() {
   switch (word->op) {
     case StreamOp::kModelWord: {
       (void)fifo_in_.try_pop();
-      ++state_.model_words_seen;
-      ++ops().mem_write;  // one BRAM weight-word write
-      if (state_.model_words_seen >= state_.program.model_words()) {
-        state_.model_loaded = true;
-      }
-      mark_busy();
+      retire_model_words(1);
       return;
     }
     case StreamOp::kStoryStart: {

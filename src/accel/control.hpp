@@ -19,8 +19,18 @@ class ControlModule final : public sim::Module {
 
   void tick() override;
 
+  /// Now whenever a stream word waits (pop or stall), except that model
+  /// words retire one per cycle unconditionally, so a queue holding only
+  /// upload words is replayed by skip().
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
+
  private:
+  void retire_model_words(std::uint64_t words);
+
   AcceleratorState& state_;
+  const std::uint64_t model_words_;  ///< upload length of the program
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<InputCmd>& cmd_fifo_;
 };

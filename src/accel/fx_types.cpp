@@ -1,5 +1,7 @@
 #include "accel/fx_types.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace mann::accel {
@@ -30,6 +32,30 @@ numeric::Matrix dequantize(const FxMatrix& m) {
 Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("fx_dot: length mismatch");
+  }
+  // Fast path: each product rounded exactly as Fx::operator* does, summed
+  // in 64 bits. When the magnitudes sum to at most INT32_MAX, no product
+  // and no prefix of the sequential accumulate saturates, so the plain sum
+  // is bit-identical to it. A product is below 2^47 in magnitude, so the
+  // 64-bit sums cannot overflow for spans under 2^16 words.
+  constexpr std::size_t kFastMax = std::size_t{1} << 16U;
+  if (a.size() < kFastMax) {
+    constexpr std::int64_t kBias = std::int64_t{1} << (Fx::kFracBits - 1);
+    std::int64_t sum = 0;
+    std::int64_t magnitude = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t prod = static_cast<std::int64_t>(a[i].raw()) *
+                                static_cast<std::int64_t>(b[i].raw());
+      // Branch-free sign handling: sign is 0 or -1, x ^ sign - sign = ±x.
+      const std::int64_t sign = prod >> 63;
+      const std::int64_t abs_rounded =
+          (((prod ^ sign) - sign) + kBias) >> Fx::kFracBits;
+      sum += (abs_rounded ^ sign) - sign;
+      magnitude += abs_rounded;
+    }
+    if (magnitude <= std::numeric_limits<std::int32_t>::max()) {
+      return Fx::from_raw(static_cast<std::int32_t>(sum));
+    }
   }
   Fx acc;
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -1,5 +1,7 @@
 #include "accel/input_write.hpp"
 
+#include <algorithm>
+
 namespace mann::accel {
 
 InputWriteModule::InputWriteModule(AcceleratorState& state,
@@ -65,6 +67,17 @@ void InputWriteModule::process(const InputCmd& cmd) {
       busy_ += 1;
       break;
   }
+}
+
+std::optional<sim::Cycle> InputWriteModule::next_activity(
+    sim::Cycle now) const {
+  return cmd_fifo_.empty() ? sim::kNever : now + busy_;
+}
+
+void InputWriteModule::skip(sim::Cycle cycles) {
+  const sim::Cycle worked = std::min(cycles, busy_);
+  busy_ -= worked;
+  mark_busy(worked);
 }
 
 void InputWriteModule::tick() {

@@ -21,6 +21,12 @@ class InputWriteModule final : public sim::Module {
 
   void tick() override;
 
+  /// Busy words complete on their own; a queued command is taken the
+  /// first tick the lanes are free.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
+
  private:
   void process(const InputCmd& cmd);
   void flush_sentence();

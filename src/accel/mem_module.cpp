@@ -4,7 +4,24 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "numeric/lut.hpp"
+
 namespace mann::accel {
+namespace {
+
+// The softmax function units hold only configuration-independent tables,
+// so every device in the process shares one built instance.
+const numeric::ExpLut& exp_lut() {
+  static const numeric::ExpLut lut;
+  return lut;
+}
+
+const numeric::ReciprocalLut& recip_lut() {
+  static const numeric::ReciprocalLut lut;
+  return lut;
+}
+
+}  // namespace
 
 MemModule::MemModule(AcceleratorState& state, const AccelConfig& config)
     : Module("MEM"),
@@ -55,14 +72,14 @@ void MemModule::start() {
   Fx sum;
   for (const std::size_t i : selected) {
     const float x = (scores[i] - max_score).to_float();
-    next_attention_[i] = Fx::from_float(exp_lut_(x));
+    next_attention_[i] = Fx::from_float(exp_lut()(x));
     sum += next_attention_[i];
   }
   ops().exp += active;
   ops().add += active;
 
   // Phase 3 — normalization through the divider (reciprocal + multiply).
-  const Fx inv_sum = Fx::from_float(recip_lut_(sum.to_float()));
+  const Fx inv_sum = Fx::from_float(recip_lut()(sum.to_float()));
   for (const std::size_t i : selected) {
     next_attention_[i] *= inv_sum;
   }
@@ -93,6 +110,20 @@ void MemModule::finish() {
   state_.attention = next_attention_;
   state_.reg_r = next_read_;
   state_.mem_done = true;
+}
+
+std::optional<sim::Cycle> MemModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  return state_.mem_request ? now : sim::kNever;
+}
+
+void MemModule::skip(sim::Cycle cycles) {
+  if (busy_ > 0) {
+    busy_ -= cycles;  // cycles < busy_: the completing tick is not skipped
+    mark_busy(cycles);
+  }
 }
 
 void MemModule::tick() {

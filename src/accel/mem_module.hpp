@@ -8,7 +8,6 @@
 
 #include "accel/config.hpp"
 #include "accel/state.hpp"
-#include "numeric/lut.hpp"
 #include "sim/module.hpp"
 
 namespace mann::accel {
@@ -19,6 +18,11 @@ class MemModule final : public sim::Module {
 
   void tick() override;
 
+  /// The tick that ends the current read, or now when one is requested.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
+
  private:
   void start();
   void finish();
@@ -26,8 +30,6 @@ class MemModule final : public sim::Module {
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
-  numeric::ExpLut exp_lut_;
-  numeric::ReciprocalLut recip_lut_;
 
   sim::Cycle busy_ = 0;
   std::vector<Fx> next_attention_;

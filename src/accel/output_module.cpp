@@ -20,46 +20,54 @@ std::size_t OutputModule::probe_class(std::size_t rank) const noexcept {
 
 void OutputModule::begin_search() {
   state_.features_ready = false;
-  phase_ = Phase::kProbing;
-  rank_ = 0;
-  classes_ = state_.program.vocab_size;
-  best_logit_ = Fx::min();
-  best_class_ = 0;
+  const DeviceProgram& program = state_.program;
   record_ = {};
-  start_probe();
+  Fx best_logit = Fx::min();
+  std::size_t best_class = 0;
+  for (std::size_t rank = 0; rank < program.vocab_size; ++rank) {
+    const std::size_t cls = probe_class(rank);
+    const Fx logit = fx_dot(program.w_o.row(cls), state_.reg_h);
+    ++record_.probes;
+    if (ith_enabled_ && logit > program.thresholds[cls]) {
+      record_.prediction = static_cast<std::int32_t>(cls);
+      record_.early_exit = true;
+      break;
+    }
+    if (logit > best_logit) {
+      best_logit = logit;
+      best_class = cls;
+    }
+  }
+  if (!record_.early_exit) {
+    record_.prediction = static_cast<std::int32_t>(best_class);
+  }
+  const std::size_t e = program.embedding_dim;
+  ops().mac += record_.probes * e;
+  ops().mem_read += record_.probes * e;
+  ops().compare += record_.probes;
+  // The first probe pays the tree fill latency; later probes pipeline.
+  busy_ = timing_.dot_cycles(e) +
+          static_cast<sim::Cycle>(record_.probes - 1) * timing_.dot_ii(e);
+  phase_ = Phase::kProbing;
 }
 
-void OutputModule::start_probe() {
-  const std::size_t cls = probe_class(rank_);
-  const std::size_t e = state_.program.embedding_dim;
-  current_logit_ = fx_dot(state_.program.w_o.row(cls), state_.reg_h);
-  ops().mac += e;
-  ops().mem_read += e;
-  ops().compare += 1;
-  ++record_.probes;
-  // First probe pays the tree fill latency; later probes pipeline.
-  busy_ = rank_ == 0 ? timing_.dot_cycles(e) : timing_.dot_ii(e);
+std::optional<sim::Cycle> OutputModule::next_activity(sim::Cycle now) const {
+  switch (phase_) {
+    case Phase::kIdle:
+      return state_.features_ready ? now : sim::kNever;
+    case Phase::kProbing:
+      return now + busy_ - 1;
+    case Phase::kPushing:
+      return now;
+  }
+  return now;
 }
 
-void OutputModule::finish_probe() {
-  const std::size_t cls = probe_class(rank_);
-  if (ith_enabled_ && current_logit_ > state_.program.thresholds[cls]) {
-    record_.prediction = static_cast<std::int32_t>(cls);
-    record_.early_exit = true;
-    phase_ = Phase::kPushing;
-    return;
+void OutputModule::skip(sim::Cycle cycles) {
+  if (phase_ == Phase::kProbing) {
+    busy_ -= cycles;  // cycles < busy_: the completing tick is not skipped
+    mark_busy(cycles);
   }
-  if (current_logit_ > best_logit_) {
-    best_logit_ = current_logit_;
-    best_class_ = cls;
-  }
-  ++rank_;
-  if (rank_ < classes_) {
-    start_probe();
-    return;
-  }
-  record_.prediction = static_cast<std::int32_t>(best_class_);
-  phase_ = Phase::kPushing;
 }
 
 void OutputModule::tick() {
@@ -74,7 +82,7 @@ void OutputModule::tick() {
       mark_busy();
       --busy_;
       if (busy_ == 0) {
-        finish_probe();
+        phase_ = Phase::kPushing;
       }
       return;
     case Phase::kPushing:

@@ -4,6 +4,12 @@
 // maximum — or, with inference thresholding enabled, comparing each logit
 // against its per-class threshold θ in silhouette probe order and exiting
 // early on the first hit (Algo. 1, Step 4 in hardware).
+//
+// The whole probe sequence runs at the search's first tick (transaction
+// semantics): reg_h and the weights are stable until the answer leaves
+// and story_active drops, so only the sequence's cycle count — tree fill
+// for the first probe, one issue interval per later probe — is spent
+// ticking.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +36,18 @@ class OutputModule final : public sim::Module {
 
   void tick() override;
 
+  /// The tick that ends the probe sequence, or now when features arrive
+  /// or the answer waits for FIFO_OUT.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
+
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
   }
 
  private:
   void begin_search();
-  void start_probe();
-  void finish_probe();
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
 
   AcceleratorState& state_;
@@ -49,11 +59,6 @@ class OutputModule final : public sim::Module {
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };
   Phase phase_ = Phase::kIdle;
   sim::Cycle busy_ = 0;
-  std::size_t rank_ = 0;
-  std::size_t classes_ = 0;
-  Fx current_logit_;
-  Fx best_logit_;
-  std::size_t best_class_ = 0;
   Record record_;
   std::vector<Record> records_;
 };

@@ -45,6 +45,30 @@ void ReadModule::finish_hop() {
   }
 }
 
+bool ReadModule::hop_ready() const noexcept {
+  const bool first_hop = state_.input_done && !state_.read_busy &&
+                         state_.hops_done == 0 && !state_.features_ready;
+  const bool next_hop = state_.read_busy &&
+                        state_.hops_done < state_.program.hops &&
+                        state_.hops_done > 0;
+  return first_hop || next_hop;
+}
+
+std::optional<sim::Cycle> ReadModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  const bool ready = phase_ == Phase::kWaitMem ? state_.mem_done : hop_ready();
+  return ready ? now : sim::kNever;
+}
+
+void ReadModule::skip(sim::Cycle cycles) {
+  if (busy_ > 0) {
+    busy_ -= cycles;  // cycles < busy_: the completing tick is not skipped
+    mark_busy(cycles);
+  }
+}
+
 void ReadModule::tick() {
   if (busy_ > 0) {
     mark_busy();
@@ -55,19 +79,12 @@ void ReadModule::tick() {
     return;
   }
   switch (phase_) {
-    case Phase::kIdle: {
-      const bool first_hop = state_.input_done && !state_.read_busy &&
-                             state_.hops_done == 0 &&
-                             !state_.features_ready;
-      const bool next_hop = state_.read_busy &&
-                            state_.hops_done < state_.program.hops &&
-                            state_.hops_done > 0;
-      if (first_hop || next_hop) {
+    case Phase::kIdle:
+      if (hop_ready()) {
         start_hop();
         mark_busy();
       }
       return;
-    }
     case Phase::kWaitMem: {
       if (!state_.mem_done) {
         return;  // stalled on the memory pipeline

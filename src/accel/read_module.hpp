@@ -24,6 +24,12 @@ class ReadModule final : public sim::Module {
 
   void tick() override;
 
+  /// The tick that ends the current busy stretch, or now when a hop can
+  /// start or the read vector has arrived.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
+
  private:
   enum class Phase : std::uint8_t {
     kIdle,     ///< no hop in flight
@@ -32,6 +38,7 @@ class ReadModule final : public sim::Module {
     kAdd,      ///< element-wise h = wrk + r
   };
 
+  [[nodiscard]] bool hop_ready() const noexcept;
   void start_hop();
   void on_busy_complete();
   void finish_hop();

@@ -276,7 +276,7 @@ void ServiceCycleCache::clear() {
 //
 // Layout (host-endian; the file is a per-machine cache, not an exchange
 // format):
-//   u64 magic "MANNCYC1"  u32 version  u32 reserved
+//   u64 magic "MANNCYC1"  u32 version  u32 simulator model version
 //   u64 payload_bytes     u64 payload_fnv1a   u64 entry_count
 //   payload: entries back-to-back, each
 //     Key{u64 fingerprint, u64 digest, u64 story_count, u8 resident}
@@ -496,7 +496,9 @@ std::size_t ServiceCycleCache::save(const std::string& path) const {
   }
   std::string header;
   put_u64(header, kPersistMagic);
-  put_u64(header, kPersistVersion);  // u32 version + u32 reserved, as u64
+  // u32 format version + u32 simulator model version, as one u64.
+  put_u64(header, std::uint64_t{kPersistVersion} |
+                      (std::uint64_t{kSimModelVersion} << 32U));
   put_u64(header, payload.size());
   put_u64(header, fnv1a_bytes(payload));
   put_u64(header, count);
@@ -549,8 +551,11 @@ std::size_t ServiceCycleCache::load(const std::string& path) {
   if (!header.ok || magic != kPersistMagic) {
     return reject("not a cycle-cache file");
   }
-  if (version != kPersistVersion) {
+  if ((version & 0xFFFFFFFFU) != kPersistVersion) {
     return reject("format version mismatch");
+  }
+  if ((version >> 32U) != kSimModelVersion) {
+    return reject("written by another simulator model version");
   }
   if (payload_bytes != bytes.size() - header.pos) {
     return reject("truncated or oversized payload");

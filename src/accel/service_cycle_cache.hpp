@@ -111,7 +111,8 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 class ServiceCycleCache {
  public:
   struct Key {
-    std::uint64_t program_fingerprint = 0;  ///< config + program digest
+    /// Config + program digest, salted with kSimModelVersion.
+    std::uint64_t program_fingerprint = 0;
     std::uint64_t stories_digest = 0;
     std::size_t story_count = 0;
     bool model_resident = false;
@@ -120,9 +121,9 @@ class ServiceCycleCache {
   };
 
   /// On-disk format version: bump whenever the serialized layout
-  /// changes. (Simulator-behaviour changes are guarded elsewhere: the CI
-  /// persistence key hashes the sources, and the bench's sequential-vs-
-  /// parallel identity gate re-derives every number from scratch.)
+  /// changes. Simulator-behaviour changes are kSimModelVersion's job: the
+  /// file header records it beside this version, and load() discards a
+  /// file written under another simulator model.
   static constexpr std::uint32_t kPersistVersion = 1;
 
   /// `capacity` bounds resident entries; the least recently used entry is

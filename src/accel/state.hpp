@@ -14,8 +14,9 @@
 namespace mann::accel {
 
 struct AcceleratorState {
-  explicit AcceleratorState(DeviceProgram prog)
-      : program(std::move(prog)),
+  /// Holds `prog` by reference: the program must outlive the state.
+  explicit AcceleratorState(const DeviceProgram& prog)
+      : program(prog),
         acc_a(program.embedding_dim),
         acc_c(program.embedding_dim),
         acc_q(program.embedding_dim),
@@ -25,8 +26,9 @@ struct AcceleratorState {
     mem_a.reserve(program.max_memory);
     mem_c.reserve(program.max_memory);
   }
+  explicit AcceleratorState(DeviceProgram&&) = delete;
 
-  DeviceProgram program;
+  const DeviceProgram& program;
 
   // ---- INPUT & WRITE: embedding accumulators (emb_a / emb_c / emb_q) ----
   FxVector acc_a;

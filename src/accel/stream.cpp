@@ -1,9 +1,10 @@
 #include "accel/stream.hpp"
 
 namespace mann::accel {
+namespace {
 
-std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
-  std::vector<StreamWord> words;
+void append_story(const data::EncodedStory& story,
+                  std::vector<StreamWord>& words) {
   words.push_back({StreamOp::kStoryStart, 0});
   for (const auto& sentence : story.context) {
     words.push_back({StreamOp::kSentenceStart, 0});
@@ -16,6 +17,13 @@ std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
     words.push_back({StreamOp::kQuestionWord, w});
   }
   words.push_back({StreamOp::kEndOfStory, 0});
+}
+
+}  // namespace
+
+std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
+  std::vector<StreamWord> words;
+  append_story(story, words);
   return words;
 }
 
@@ -23,12 +31,9 @@ std::vector<StreamWord> encode_workload(
     std::size_t model_words, std::span<const data::EncodedStory> stories) {
   std::vector<StreamWord> words;
   words.reserve(model_words + stories.size() * 48);
-  for (std::size_t i = 0; i < model_words; ++i) {
-    words.push_back({StreamOp::kModelWord, 0});
-  }
+  words.assign(model_words, {StreamOp::kModelWord, 0});
   for (const data::EncodedStory& s : stories) {
-    const auto sw = encode_story(s);
-    words.insert(words.end(), sw.begin(), sw.end());
+    append_story(s, words);
   }
   return words;
 }

@@ -82,11 +82,12 @@ class FixedPoint {
                            static_cast<wide_type>(other.raw_);
     const wide_type bias = wide_type{1} << (FracBits - 1);
     // Symmetric rounding: shift the magnitude so the arithmetic
-    // right-shift's floor behaviour cannot bias negative results.
-    const wide_type rounded = prod >= 0
-                                  ? (prod + bias) >> FracBits
-                                  : -((-prod + bias) >> FracBits);
-    return FixedPoint(saturate_to_raw(rounded));
+    // right-shift's floor behaviour cannot bias negative results. The
+    // sign is applied branch-free (sign is 0 or -1, (x ^ sign) - sign is
+    // ±x): datapath operands have no predictable sign pattern.
+    const wide_type sign = prod >> 63;
+    const wide_type magnitude = (((prod ^ sign) - sign) + bias) >> FracBits;
+    return FixedPoint(saturate_to_raw((magnitude ^ sign) - sign));
   }
 
   /// Division; saturates on overflow, returns saturated max/min on

@@ -136,7 +136,8 @@ class ServerSession::Frontend final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle /*now*/) const override {
     return s_.next_arrival();
   }
 
@@ -183,14 +184,15 @@ class ServerSession::BatchStage final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override {
     if (s_.batcher_.pending() == 0) {
       return sim::kNever;
     }
     if (s_.drain_ready() || !s_.scheduler_.has_capacity()) {
       // Drain mode or blocked on downstream: may act at the very next
       // tick, so report the current clock (vetoes any skip past it).
-      return s_.simulator_.now();
+      return now;
     }
     // Waiting to fill: wake at the oldest request's timeout. A fill-up
     // wakes us anyway via the frontend's arrival horizon.
@@ -227,11 +229,12 @@ class ServerSession::Dispatch final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override {
     if (s_.scheduler_.pending_batches() > 0) {
       // Next dispatch opportunity: a slot freeing (conservative — a past
       // cycle just vetoes the skip and falls back to per-cycle ticking).
-      return std::min(s_.scheduler_.next_slot_free(s_.simulator_.now()),
+      return std::min(s_.scheduler_.next_slot_free(now),
                       s_.scheduler_.next_completion());
     }
     return s_.scheduler_.next_completion();
@@ -370,57 +373,12 @@ bool ServerSession::step_until(sim::Cycle limit) {
   if (!watchdog_start_.has_value()) {
     watchdog_start_ = simulator_.now();
   }
-  // This loop is Simulator::run_events with two surgical additions — the
-  // exclusive `limit` holds (marked below) — so that with limit ==
-  // sim::kNever it replays the closed-loop run() tick sequence
-  // bit-identically, watchdog throws included.
-  const sim::Cycle start = *watchdog_start_;
-  const sim::Cycle max_cycles = config_.watchdog_cycles;
-  const std::vector<sim::Module*>& modules = simulator_.modules();
-  while (!idle()) {
-    if (simulator_.now() - start >= max_cycles) {
-      throw std::runtime_error(
-          "Simulator: watchdog expired — dataflow deadlock or runaway");
-    }
-
-    // Quiescence check: if every module agrees nothing can happen before
-    // some future cycle, jump straight there. A nullopt vetoes the jump.
-    sim::Cycle horizon = sim::kNever;
-    bool skippable = !modules.empty();
-    for (const sim::Module* m : modules) {
-      const std::optional<sim::Cycle> next = m->next_activity();
-      if (!next.has_value()) {
-        skippable = false;
-        break;
-      }
-      horizon = std::min(horizon, *next);
-    }
-    if (skippable && horizon > simulator_.now()) {
-      if (limit != sim::kNever && horizon >= limit) {
-        // Exclusive-limit hold: the next event sits at or past the
-        // horizon the driver vouched for, so stop *without* moving the
-        // clock — a later submit may land before `horizon`.
-        return false;
-      }
-      // Clamp so the watchdog still fires instead of wrapping past it.
-      simulator_.advance(std::min(horizon, start + max_cycles) -
-                         simulator_.now());
-      if (simulator_.now() - start >= max_cycles) {
-        throw std::runtime_error(
-            "Simulator: watchdog expired — all modules idle forever");
-      }
-    } else if (limit != sim::kNever && simulator_.now() >= limit) {
-      // Exclusive-limit hold: work is due *now*, but now is past the
-      // driver's horizon — the tick belongs to a future step_until.
-      return false;
-    }
-
-    for (sim::Module* m : modules) {
-      m->tick();
-    }
-    simulator_.advance(1);
-  }
-  return true;
+  // The exclusive-limit event loop; with limit == sim::kNever it replays
+  // the closed-loop run() tick sequence bit-identically, watchdog throws
+  // included, because the watchdog counts from the first step.
+  return simulator_.run_events_until([this] { return idle(); }, limit,
+                                     *watchdog_start_,
+                                     config_.watchdog_cycles);
 }
 
 std::vector<Completion> ServerSession::poll_completions() {

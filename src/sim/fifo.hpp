@@ -87,6 +87,31 @@ class Fifo {
     return items_.empty() ? nullptr : &items_.front();
   }
 
+  /// Peeks at the most recently pushed item.
+  [[nodiscard]] const T* peek_back() const noexcept {
+    return items_.empty() ? nullptr : &items_.back();
+  }
+
+  /// Credits `cycles` cycles of the full-queue steady state without
+  /// moving words: each cycle the producer pushed one word equal to every
+  /// queued one and was refused a second, and the consumer popped one, so
+  /// the contents end where they began. The producer calls this from its
+  /// skip(); the consumer collects the count with take_streamed().
+  void stream_through(std::uint64_t cycles) noexcept {
+    stats_.pushes += cycles;
+    stats_.pops += cycles;
+    stats_.full_rejects += cycles;
+    stats_.max_occupancy = std::max(stats_.max_occupancy, capacity_);
+    streamed_ += cycles;
+  }
+
+  /// Words stream_through() passed to the consumer since the last call.
+  [[nodiscard]] std::uint64_t take_streamed() noexcept {
+    const std::uint64_t words = streamed_;
+    streamed_ = 0;
+    return words;
+  }
+
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
  private:
@@ -94,6 +119,7 @@ class Fifo {
   std::size_t capacity_;
   std::deque<T> items_;
   FifoStats stats_;
+  std::uint64_t streamed_ = 0;
 };
 
 }  // namespace mann::sim

@@ -26,24 +26,39 @@ class Module {
   /// Advances one clock cycle.
   virtual void tick() = 0;
 
-  /// Earliest future cycle at which this module could change state, given
-  /// no new input from other modules. Simulator::run_events uses this to
-  /// fast-forward across quiescent stretches (e.g. waiting for the next
-  /// request arrival in the serving runtime). Returning nullopt means
-  /// "unknown — tick me every cycle", the conservative default that keeps
-  /// the handwritten datapath modules cycle-exact. kNever means the module
-  /// is idle until some other module acts.
-  [[nodiscard]] virtual std::optional<Cycle> next_activity() const {
+  /// Earliest cycle >= `now` whose tick() could do something skip() does
+  /// not replay, given no new input from other modules.
+  /// Simulator::run_events uses it to jump quiescent stretches: when every
+  /// module reports a cycle past `now`, the clock moves straight to the
+  /// earliest one and each module's skip() replays the cycles in between.
+  /// A busy module reports the tick that completes its operation, a
+  /// stalled one `now`; kNever means idle until some other module acts.
+  /// Returning nullopt means "unknown — tick me every cycle", the default
+  /// for modules that keep no such schedule.
+  [[nodiscard]] virtual std::optional<Cycle> next_activity(Cycle now) const {
+    (void)now;
     return std::nullopt;
   }
+
+  /// Replays `cycles` ticks the clock jumped over, in registration order
+  /// across modules. The simulator calls it only with `cycles` <=
+  /// next_activity(now) - now; an implementation credits the busy and
+  /// stall cycles and advances the internal counters those ticks would
+  /// have. A replayed tick must not change what another module's
+  /// next_activity() assumed, except through traffic both ends account
+  /// for (Fifo::stream_through). The default suits modules that do
+  /// nothing while idle.
+  virtual void skip(Cycle cycles) { (void)cycles; }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const ModuleStats& stats() const noexcept { return stats_; }
 
  protected:
   /// Accounting helpers for subclasses.
-  void mark_busy() noexcept { ++stats_.busy_cycles; }
-  void mark_stalled() noexcept { ++stats_.stall_cycles; }
+  void mark_busy(Cycle cycles = 1) noexcept { stats_.busy_cycles += cycles; }
+  void mark_stalled(Cycle cycles = 1) noexcept {
+    stats_.stall_cycles += cycles;
+  }
   OpCounts& ops() noexcept { return stats_.ops; }
 
  private:

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -78,35 +78,8 @@ RunResult rich_result(std::uint64_t salt) {
 }
 
 void expect_bit_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
   // Bit equality, not EXPECT_DOUBLE_EQ: persistence stores raw bits.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.seconds),
-            std::bit_cast<std::uint64_t>(b.seconds));
-  ASSERT_EQ(a.stories.size(), b.stories.size());
-  for (std::size_t i = 0; i < a.stories.size(); ++i) {
-    EXPECT_EQ(a.stories[i].prediction, b.stories[i].prediction);
-    EXPECT_EQ(a.stories[i].output_probes, b.stories[i].output_probes);
-    EXPECT_EQ(a.stories[i].early_exit, b.stories[i].early_exit);
-    EXPECT_EQ(a.stories[i].finish_cycle, b.stories[i].finish_cycle);
-  }
-  ASSERT_EQ(a.modules.size(), b.modules.size());
-  for (std::size_t i = 0; i < a.modules.size(); ++i) {
-    EXPECT_EQ(a.modules[i].name, b.modules[i].name);
-    EXPECT_EQ(a.modules[i].stats.busy_cycles, b.modules[i].stats.busy_cycles);
-    EXPECT_EQ(a.modules[i].stats.stall_cycles,
-              b.modules[i].stats.stall_cycles);
-    EXPECT_EQ(a.modules[i].stats.ops.mac, b.modules[i].stats.ops.mac);
-    EXPECT_EQ(a.modules[i].stats.ops.compare, b.modules[i].stats.ops.compare);
-  }
-  EXPECT_EQ(a.total_ops.mac, b.total_ops.mac);
-  EXPECT_EQ(a.total_ops.mem_write, b.total_ops.mem_write);
-  EXPECT_EQ(a.fifo_in_stats.pushes, b.fifo_in_stats.pushes);
-  EXPECT_EQ(a.fifo_in_stats.pops, b.fifo_in_stats.pops);
-  EXPECT_EQ(a.fifo_in_stats.full_rejects, b.fifo_in_stats.full_rejects);
-  EXPECT_EQ(a.fifo_in_stats.max_occupancy, b.fifo_in_stats.max_occupancy);
-  EXPECT_EQ(a.fifo_out_stats.pushes, b.fifo_out_stats.pushes);
-  EXPECT_EQ(a.link_active_cycles, b.link_active_cycles);
-  EXPECT_EQ(a.stream_words, b.stream_words);
+  EXPECT_TRUE(run_results_identical(a, b));
 }
 
 void seed_entry(ServiceCycleCache& cache, const ServiceCycleCache::Key& key,
@@ -282,6 +255,31 @@ TEST(CycleCachePersist, VersionMismatchInvalidates) {
   ServiceCycleCache fresh(4);
   EXPECT_EQ(fresh.load(path), 0U);
   EXPECT_EQ(fresh.size(), 0U);
+  std::remove(path.c_str());
+}
+
+TEST(CycleCachePersist, SimulatorModelMismatchInvalidates) {
+  const std::string path = temp_path("cycle_cache_sim_model.bin");
+  std::remove(path.c_str());
+  ServiceCycleCache cache(4);
+  seed_entry(cache, {1, 2, 3, false}, rich_result(1));
+  ASSERT_EQ(cache.save(path), 1U);
+
+  // The simulator model version lives in header bytes [12, 16), beside
+  // the format version; a file from another model must load nothing,
+  // even though its layout and checksum are intact.
+  std::string bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 16U);
+  std::uint32_t model = 0;
+  std::memcpy(&model, bytes.data() + 12, sizeof(model));
+  EXPECT_EQ(model, kSimModelVersion);
+  for (const std::uint32_t other : {kSimModelVersion + 1, 0U}) {
+    std::memcpy(bytes.data() + 12, &other, sizeof(other));
+    write_file(path, bytes);
+    ServiceCycleCache fresh(4);
+    EXPECT_EQ(fresh.load(path), 0U);
+    EXPECT_EQ(fresh.size(), 0U);
+  }
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "numeric/random.hpp"
 #include "numeric/vector_ops.hpp"
@@ -56,6 +60,76 @@ TEST(FxDot, MatchesFloatReference) {
   }
   const float ref = numeric::dot(fa, fb);
   EXPECT_NEAR(fx_dot(a, b).to_float(), ref, 24.0F * 3.0F / 65536.0F);
+}
+
+/// The datapath's dot product from its definition: each product rounded
+/// half away from zero and saturated, then a sequential saturating
+/// accumulate.
+Fx reference_dot(const FxVector& a, const FxVector& b) {
+  const auto saturate = [](std::int64_t v) {
+    return static_cast<std::int32_t>(
+        std::clamp<std::int64_t>(v, std::numeric_limits<std::int32_t>::min(),
+                                 std::numeric_limits<std::int32_t>::max()));
+  };
+  std::int32_t acc = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::int64_t prod = std::int64_t{a[i].raw()} * b[i].raw();
+    const std::int64_t rounded =
+        prod >= 0 ? (prod + (1 << 15)) >> 16 : -((-prod + (1 << 15)) >> 16);
+    acc = saturate(std::int64_t{acc} + saturate(rounded));
+  }
+  return Fx::from_raw(acc);
+}
+
+FxVector raw_vector(std::initializer_list<std::int32_t> raws) {
+  FxVector v;
+  for (const std::int32_t r : raws) {
+    v.push_back(Fx::from_raw(r));
+  }
+  return v;
+}
+
+TEST(FxDot, SaturationEdgesMatchSequentialAccumulate) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  const std::int32_t one = Fx::kOne;
+  const std::int32_t half = one / 2;
+  const std::vector<std::pair<FxVector, FxVector>> cases = {
+      {{}, {}},
+      // Magnitudes summing to exactly INT32_MAX, and one LSB past it.
+      {raw_vector({kMax - one, 1}), raw_vector({one, one})},
+      {raw_vector({kMax, 1}), raw_vector({one, one})},
+      // A prefix saturates high, then the tail pulls it back down: the
+      // plain sum would differ from the saturating accumulate.
+      {raw_vector({kMax, kMax, kMin}), raw_vector({one, one, one})},
+      {raw_vector({kMin, kMin, kMax}), raw_vector({one, one, one})},
+      // Products that saturate on their own.
+      {raw_vector({kMax, kMin, kMin}), raw_vector({kMax, kMax, kMin})},
+      // Exact half-LSB products round away from zero in both signs.
+      {raw_vector({1, -1, 3, -3}), raw_vector({half, half, half, half})},
+  };
+  for (const auto& [a, b] : cases) {
+    EXPECT_EQ(fx_dot(a, b).raw(), reference_dot(a, b).raw());
+  }
+}
+
+TEST(FxDot, RandomMagnitudesMatchSequentialAccumulate) {
+  // Operand ranges from small (always the fast path) to large (prefixes
+  // saturate), with mixed signs.
+  numeric::Rng rng(17);
+  for (const float range : {1.0F, 100.0F, 3000.0F, 32767.0F}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t n = 1 + rng.index(40);
+      FxVector a(n);
+      FxVector b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = Fx::from_float(rng.uniform(-range, range));
+        b[i] = Fx::from_float(rng.uniform(-range, range));
+      }
+      ASSERT_EQ(fx_dot(a, b).raw(), reference_dot(a, b).raw())
+          << "range " << range << " trial " << trial;
+    }
+  }
 }
 
 TEST(FxDot, LengthMismatchThrows) {

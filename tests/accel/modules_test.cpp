@@ -55,7 +55,8 @@ AccelConfig tiny_config() {
 // ---- INPUT & WRITE ---------------------------------------------------------
 
 TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
   sim::Fifo<InputCmd> cmds("CMD", 16);
@@ -83,7 +84,7 @@ TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
 TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
   DeviceProgram prog = tiny_program();
   prog.max_memory = 2;
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
   sim::Fifo<InputCmd> cmds("CMD", 32);
@@ -108,7 +109,8 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
 // ---- MEM -------------------------------------------------------------------
 
 TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   // Two memory slots with known contents.
   state.mem_a = {{Fx::from_float(1.0F), Fx::from_float(0.0F)},
@@ -138,7 +140,8 @@ TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
 }
 
 TEST(MemModule, EmptyMemoryIsAProtocolBug) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_k = {Fx::from_float(1.0F), Fx{}};
   state.mem_request = true;
@@ -151,7 +154,7 @@ TEST(MemModule, EmptyMemoryIsAProtocolBug) {
 TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   DeviceProgram prog = tiny_program();
   prog.hops = 2;
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.mem_a = {{Fx::from_float(1.0F), Fx{}}};
   state.mem_c = {{Fx{}, Fx::from_float(4.0F)}};
@@ -177,7 +180,8 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
 // ---- OUTPUT ------------------------------------------------------------------
 
 TEST(OutputModule, SequentialArgmaxWithoutIth) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logits = 1,2,3,4
   state.features_ready = true;
@@ -201,7 +205,7 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   // Probe order 2,3,0,1; thresholds: class 2 fires when z > 2.5.
   prog.probe_order = {2, 3, 0, 1};
   prog.thresholds = {Fx::max(), Fx::max(), Fx::from_float(2.5F), Fx::max()};
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logit of class 2 = 3
   state.features_ready = true;
@@ -223,7 +227,7 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   DeviceProgram prog = tiny_program();
   prog.probe_order = {0, 1, 2, 3};
   prog.thresholds.assign(4, Fx::max());
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};
   state.features_ready = true;
@@ -243,7 +247,8 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
 // ---- CONTROL -----------------------------------------------------------------
 
 TEST(ControlModule, CountsModelWordsThenRaisesLoaded) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   const std::size_t words = state.program.model_words();
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<InputCmd> cmds("CMD", 64);
@@ -259,7 +264,8 @@ TEST(ControlModule, CountsModelWordsThenRaisesLoaded) {
 }
 
 TEST(ControlModule, StoryBeforeModelLoadThrows) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 8);
   ControlModule control(state, in, cmds);
@@ -268,7 +274,8 @@ TEST(ControlModule, StoryBeforeModelLoadThrows) {
 }
 
 TEST(ControlModule, DataWordOutsideStoryThrows) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 8);
@@ -278,7 +285,8 @@ TEST(ControlModule, DataWordOutsideStoryThrows) {
 }
 
 TEST(ControlModule, StallsOnBusyDatapathAndFullCmdFifo) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 1);
@@ -315,8 +323,7 @@ TEST(HostLinkModule, RespectsWordRate) {
   cfg.link.result_latency = 0.0;
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<std::int32_t> out("OUT", 4);
-  std::vector<StreamWord> words(16, {StreamOp::kModelWord, 0});
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 16, {}, in, out);
   for (int i = 0; i < 32; ++i) {
     link.tick();
   }
@@ -332,8 +339,7 @@ TEST(HostLinkModule, ModelPhaseUsesBulkRate) {
   cfg.link.model_words_per_second = 1.0e6;  // 1 word/cycle for the model
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<std::int32_t> out("OUT", 4);
-  std::vector<StreamWord> words(10, {StreamOp::kModelWord, 0});
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 10, {}, in, out);
   for (int i = 0; i < 10; ++i) {
     link.tick();
   }
@@ -351,7 +357,7 @@ TEST(HostLinkModule, ChargesPerStoryLatencyOnce) {
   std::vector<StreamWord> words = {{StreamOp::kStoryStart, 0},
                                    {StreamOp::kSentenceStart, 0},
                                    {StreamOp::kContextWord, 1}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   int cycles = 0;
   while (!link.all_words_sent() && cycles < 100) {
     link.tick();
@@ -375,7 +381,7 @@ TEST(HostLinkModule, SynchronousModeWaitsForAnswer) {
                                    {StreamOp::kEndOfStory, 0},
                                    {StreamOp::kStoryStart, 0},
                                    {StreamOp::kEndOfStory, 0}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   for (int i = 0; i < 20; ++i) {
     link.tick();
   }
@@ -402,7 +408,7 @@ TEST(HostLinkModule, AsynchronousModeStreamsAhead) {
                                    {StreamOp::kEndOfStory, 0},
                                    {StreamOp::kStoryStart, 0},
                                    {StreamOp::kEndOfStory, 0}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   for (int i = 0; i < 20; ++i) {
     link.tick();
   }

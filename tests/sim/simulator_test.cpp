@@ -111,7 +111,8 @@ class EventModule final : public Module {
     }
   }
 
-  [[nodiscard]] std::optional<Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<Cycle> next_activity(
+      Cycle /*now*/) const override {
     return next_ < events_.size() ? events_[next_] : kNever;
   }
 
