@@ -69,8 +69,6 @@
 //                      Only the parallel leg attaches it; the sequential
 //                      leg stays uncached so wall_speedup keeps meaning
 //                      "parallel+cache vs true sequential cost".
-//   --no-affinity      disable affinity-aware speculation (restores the
-//                      legacy global-residency warm/cold predictor)
 //   --cluster-trace P  run the cluster sweep (sweep 9) over the trace CSV
 //   --cluster-scale F  amplify the cluster trace F-fold via
 //                      serve::scale_trace before the fleet legs
@@ -78,11 +76,9 @@
 //   --fleet-threads N  host threads advancing cluster instances between
 //                      routing barriers (default 4; 0/1 = sequential).
 //                      With N >= 2 the sweep also times the p2c leg at 1
-//                      thread vs N and gates bit-identical fleet reports;
-//                      the fleet legs share a cycle cache sharded into
-//                      2N segments so the threads don't serialize on one
-//                      mutex. Purely host-side: every simulated number
-//                      is fleet-thread invariant.
+//                      thread vs N and gates bit-identical fleet reports.
+//                      Purely host-side: every simulated number is
+//                      fleet-thread invariant.
 //   --train-fallback   train stand-in models when mann_bench_cache is absent
 //   --train-suite      train (and cache) any missing real-suite models
 //                      instead of exiting — slower first run, identical
@@ -124,7 +120,6 @@ struct BenchOptions {
   serve::EvictionPolicyKind eviction = serve::EvictionPolicyKind::kLru;
   bool parallel = true;
   bool wall_gate = true;
-  bool affinity = true;
   bool train_fallback = false;
   bool train_suite = false;  ///< repopulate mann_bench_cache with real models
 };
@@ -216,8 +211,6 @@ BenchOptions parse_args(int argc, char** argv) {
       opts.cluster_scale = positive(next());
     } else if (arg == "--fleet-threads") {
       opts.fleet_threads = nonnegative(next());
-    } else if (arg == "--no-affinity") {
-      opts.affinity = false;
     } else if (arg == "--train-fallback") {
       opts.train_fallback = true;
     } else if (arg == "--train-suite") {
@@ -230,7 +223,7 @@ BenchOptions parse_args(int argc, char** argv) {
                    "[--trace PATH] [--parallel off] [--wall-gate off] "
                    "[--cache-dir DIR] [--cluster-trace PATH] "
                    "[--cluster-scale F] [--fleet-threads N] "
-                   "[--no-affinity] [--train-fallback] [--train-suite]\n");
+                   "[--train-fallback] [--train-suite]\n");
       std::exit(2);
     }
   }
@@ -384,7 +377,6 @@ struct ClusterSweep {
   /// vs `fleet_threads`, reports gated bit-identical. Only the walls and
   /// the identity verdict live here — everything simulated is above.
   std::size_t fleet_threads = 0;   ///< 0/1 = comparison skipped
-  std::size_t cache_segments = 0;  ///< shared-cache shards in the fleet legs
   std::size_t host_cores = 0;      ///< std::thread::hardware_concurrency()
   double wall_seconds_1thread = 0.0;
   double wall_seconds_fleet = 0.0;
@@ -562,7 +554,6 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"serve_throughput\",\n");
   std::fprintf(f, "  \"schema\": 6,\n");
-  std::fprintf(f, "  \"affinity\": %s,\n", opts.affinity ? "true" : "false");
   std::fprintf(f, "  \"suite_source\": \"%s\",\n", suite_source.c_str());
   std::fprintf(f, "  \"tasks\": %zu,\n", opts.tasks);
   std::fprintf(f, "  \"requests\": %zu,\n", opts.requests);
@@ -656,8 +647,6 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
     std::fprintf(f, "    \"host\": {\n");
     std::fprintf(f, "      \"fleet_threads\": %zu,\n",
                  cluster_sweep.fleet_threads);
-    std::fprintf(f, "      \"cache_segments\": %zu,\n",
-                 cluster_sweep.cache_segments);
     std::fprintf(f, "      \"host_cores\": %zu,\n", cluster_sweep.host_cores);
     std::fprintf(f, "      \"wall_seconds_1thread\": %.6f,\n",
                  cluster_sweep.wall_seconds_1thread);
@@ -755,11 +744,6 @@ int main(int argc, char** argv) {
   base.max_wait_cycles = 200'000;
   base.seed = 2019;
   base.eviction = opts.eviction;
-  base.affinity_speculation = opts.affinity;
-  if (!opts.affinity) {
-    std::printf("# affinity-aware speculation disabled (--no-affinity): "
-                "legacy global-residency predictor\n");
-  }
 
   bench::print_header(
       "Serving sweep 1: device-pool size at saturating load "
@@ -998,13 +982,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(parallel.report.cycle_cache.misses),
         identical ? "identical" : "DIVERGED");
     std::printf(
-        "speculation: %llu speculated, %llu useful, %llu wasted "
-        "(affinity %s)\n",
+        "speculation: %llu speculated, %llu useful, %llu wasted\n",
         static_cast<unsigned long long>(
             parallel.report.speculation.speculated),
         static_cast<unsigned long long>(parallel.report.speculation.useful),
-        static_cast<unsigned long long>(parallel.report.speculation.wasted),
-        opts.affinity ? "on" : "off");
+        static_cast<unsigned long long>(parallel.report.speculation.wasted));
     if (persist.enabled) {
       persist.saved = persistent_cache.save(cache_file);
       std::printf("# persistent cycle cache: saved %zu entries to %s\n",
@@ -1254,16 +1236,12 @@ int main(int argc, char** argv) {
     // "full" near its peak-hour queue depth, not the default sized for
     // the small test fleets.
     fleet.router.spill_queue_threshold = 256;
-    // Every fleet leg runs at the requested host parallelism over a
-    // shared cycle cache sharded 2x the thread count (so concurrent
-    // instances rarely collide on a segment lock). Purely host-side:
-    // the 1-thread re-run below gates that every simulated number is
-    // bit-identical, which keeps the CI baseline comparison valid.
+    // Every fleet leg runs at the requested host parallelism. Purely
+    // host-side: the 1-thread re-run below gates that every simulated
+    // number is bit-identical, which keeps the CI baseline comparison
+    // valid.
     fleet.fleet_threads = opts.fleet_threads;
-    fleet.cache_segments =
-        opts.fleet_threads > 1 ? 2 * opts.fleet_threads : 0;
     cluster_sweep.fleet_threads = opts.fleet_threads;
-    cluster_sweep.cache_segments = fleet.cache_segments;
     cluster_sweep.host_cores = std::thread::hardware_concurrency();
     fleet.router.kind = cluster::RouterPolicyKind::kTaskAffinity;
     cluster_sweep.affinity =
@@ -1298,16 +1276,15 @@ int main(int argc, char** argv) {
     print_cluster_row(cluster_sweep.autoscaled);
 
     // Host-parallelism check: the power-of-two leg again at one fleet
-    // thread (same shared-cache sharding, fresh cache either way). The
-    // reports must be bit-identical — that is the determinism contract
-    // — and the two walls give the 1-vs-N ratio the perf job prints.
+    // thread. The reports must be bit-identical — that is the
+    // determinism contract — and the two walls give the 1-vs-N ratio the
+    // perf job prints.
     if (opts.fleet_threads > 1) {
       runtime::ClusterServingOptions lone;
       lone.instances = cluster_sweep.instances;
       lone.router.spill_queue_threshold = 256;
       lone.router.kind = cluster::RouterPolicyKind::kPowerOfTwo;
       lone.fleet_threads = 1;
-      lone.cache_segments = cluster_sweep.cache_segments;
       const runtime::ClusterMeasurement one_thread =
           runtime::measure_cluster(tasks, cluster_load, lone);
       print_cluster_row(one_thread);

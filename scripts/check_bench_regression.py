@@ -116,7 +116,7 @@ def main():
     # Simulated numbers only compare on the identical workload; refuse to
     # gate across differing bench configurations.
     for key in ("schema", "tasks", "requests", "devices", "max_batch",
-                "scheduler_policy", "eviction_policy", "seed", "affinity"):
+                "scheduler_policy", "eviction_policy", "seed"):
         if current.get(key) != baseline.get(key):
             failures.append(
                 f"workload mismatch on '{key}': current "

@@ -16,11 +16,6 @@ Then reports:
   * shed accounting (frontend "shed" instants by ShedReason),
   * cache attribution (host-domain dispatch "cache" instants and worker
     "speculate" spans by outcome, misses broken down per task),
-  * cache-segment contention (sharded cycle-cache runs only): per-segment
-    hit/wait/miss/contended counts from the embedded mannMetrics
-    "accel.cycle_cache.segment.<i>.*" counters, with the lock-contention
-    share per segment — how evenly the story-digest hash spreads load
-    across the segment locks,
   * per-tenant queue-wait histograms (--tenant-histograms, or always
     when the trace names more than one tenant),
   * per-instance routing (cluster traces only): requests routed and
@@ -162,43 +157,6 @@ def print_cache_attribution(events):
         ranked = ", ".join(
             f"task {t}: {n}" for t, n in wasted_tasks.most_common(8))
         print(f"  wasted speculation by task: {ranked}")
-
-
-def print_cache_segments(top):
-    """Per-segment contention attribution for the sharded cycle cache.
-
-    The cache registers one counter quartet per lock segment only when
-    sharded (segments > 1), so a silent absence here just means the run
-    used a single-segment cache. `contended` counts try-lock failures —
-    acquisitions that had to sleep on another thread's segment lock —
-    which is the number the segment-count knob exists to shrink.
-    """
-    counters = top.get("mannMetrics", {}).get("counters", {})
-    prefix = "accel.cycle_cache.segment."
-    segments = collections.defaultdict(dict)
-    for name, value in counters.items():
-        if not name.startswith(prefix):
-            continue
-        index, _, field = name[len(prefix):].partition(".")
-        if index.isdigit() and field:
-            segments[int(index)][field] = value
-    if not segments:
-        return
-    total_ops = sum(
-        s.get("hits", 0) + s.get("waits", 0) + s.get("misses", 0)
-        for s in segments.values())
-    total_contended = sum(s.get("contended", 0) for s in segments.values())
-    print(f"\ncycle-cache segment contention ({len(segments)} segments, "
-          f"{total_contended} contended acquisitions / {total_ops} lookups):")
-    print(f"  {'segment':<8} {'hits':>8} {'waits':>7} {'misses':>8} "
-          f"{'contended':>10} {'share':>7}")
-    for index in sorted(segments):
-        s = segments[index]
-        ops = s.get("hits", 0) + s.get("waits", 0) + s.get("misses", 0)
-        share = ops / total_ops if total_ops else 0.0
-        print(f"  {index:<8} {s.get('hits', 0):>8} {s.get('waits', 0):>7} "
-              f"{s.get('misses', 0):>8} {s.get('contended', 0):>10} "
-              f"{share:>6.1%}")
 
 
 def log2_histogram(values_ms):
@@ -357,7 +315,6 @@ def main():
     print_stage_stats(spans)
     print_sheds(events)
     print_cache_attribution(events)
-    print_cache_segments(top)
     print_tenant_queue_waits(spans, args.tenant_histograms)
     lost = print_instances(events, spans)
     print_metrics(top)

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "serve/eviction.hpp"
-
 namespace mann::accel {
 
 std::uint64_t digest_stories(
@@ -43,8 +41,7 @@ std::size_t ServiceCycleCache::KeyHash::operator()(
 }
 
 ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
-                                     obs::MetricsRegistry* metrics,
-                                     std::size_t segments)
+                                     obs::MetricsRegistry* metrics)
     : capacity_(capacity),
       obs_hits_(obs::counter(metrics, "accel.cycle_cache.hits")),
       obs_waits_(obs::counter(metrics, "accel.cycle_cache.waits")),
@@ -55,220 +52,106 @@ ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
   if (capacity_ == 0) {
     throw std::invalid_argument("ServiceCycleCache: capacity must be > 0");
   }
-  if (segments == 0) {
-    throw std::invalid_argument("ServiceCycleCache: segments must be > 0");
-  }
-  segment_capacity_ = (capacity_ + segments - 1) / segments;
-  segments_.reserve(segments);
-  for (std::size_t i = 0; i < segments; ++i) {
-    auto segment = std::make_unique<Segment>();
-    if (segments > 1 && metrics != nullptr) {
-      const std::string prefix =
-          "accel.cycle_cache.segment." + std::to_string(i) + ".";
-      segment->obs_hits = obs::counter(metrics, prefix + "hits");
-      segment->obs_waits = obs::counter(metrics, prefix + "waits");
-      segment->obs_misses = obs::counter(metrics, prefix + "misses");
-      segment->obs_contended = obs::counter(metrics, prefix + "contended");
-    }
-    segments_.push_back(std::move(segment));
-  }
-}
-
-// Out of line: serve::EvictionPolicy is forward-declared in the header.
-ServiceCycleCache::~ServiceCycleCache() = default;
-
-ServiceCycleCache::Segment& ServiceCycleCache::segment_for(
-    const Key& key) noexcept {
-  // KeyHash mixes the story digest, so concurrent distinct batches
-  // spread across segments instead of queueing on one mutex.
-  return *segments_[KeyHash{}(key) % segments_.size()];
-}
-
-std::unique_lock<std::mutex> ServiceCycleCache::lock_segment(
-    Segment& segment) {
-  std::unique_lock lock(segment.mutex, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    // Host-domain contention signal only — never feeds a simulated
-    // number, so the counter may vary run to run.
-    obs::add(segment.obs_contended);
-    lock.lock();
-  }
-  return lock;
 }
 
 std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
                                                     CacheOutcome* outcome) {
-  Segment& segment = segment_for(key);
-  std::unique_lock lock = lock_segment(segment);
+  std::unique_lock lock(mutex_);
   bool waited = false;
   for (;;) {
-    if (const auto it = segment.index.find(key); it != segment.index.end()) {
-      segment.lru.splice(segment.lru.begin(), segment.lru,
-                         it->second);  // touch
-      it->second->touch_seq = ++segment.touch_counter;
-      ++it->second->hits;
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);  // touch
       // A lookup resolved by someone else's in-flight simulation is a
       // wait, not a hit: it deduplicated work but paid miss-shaped
       // latency, and exactly one of hits/waits/misses counts per lookup.
       if (waited) {
-        ++segment.stats.waits;
+        ++stats_.waits;
         obs::add(obs_waits_);
-        obs::add(segment.obs_waits);
       } else {
-        ++segment.stats.hits;
+        ++stats_.hits;
         obs::add(obs_hits_);
-        obs::add(segment.obs_hits);
       }
       if (outcome != nullptr) {
         *outcome = waited ? CacheOutcome::kWait : CacheOutcome::kHit;
       }
       return it->second->result;
     }
-    if (!segment.in_flight.contains(key)) {
-      segment.in_flight.insert(key);
-      ++segment.stats.misses;
+    if (!in_flight_.contains(key)) {
+      in_flight_.insert(key);
+      ++stats_.misses;
       obs::add(obs_misses_);
-      obs::add(segment.obs_misses);
       if (outcome != nullptr) {
         *outcome = CacheOutcome::kMiss;
       }
       return std::nullopt;  // caller owns the computation
     }
     waited = true;
-    segment.ready.wait(lock, [&] {
-      return segment.index.contains(key) || !segment.in_flight.contains(key);
+    ready_.wait(lock, [&] {
+      return index_.contains(key) || !in_flight_.contains(key);
     });
   }
 }
 
-void ServiceCycleCache::evict_over_capacity_locked(Segment& segment) {
-  while (segment.lru.size() > segment_capacity_) {
-    auto victim = std::prev(segment.lru.end());  // LRU order: back is coldest
-    if (segment.eviction != nullptr && segment.lru.size() > 1) {
-      // Policy view of the resident entries (in list order): recency is
-      // the touch clock, frequency the per-entry hit count, and reload
-      // cost the entry's own simulated cycles — re-simulating IS the
-      // reload. The policy's pick maps back to a list iterator.
-      std::vector<serve::EvictionCandidate> candidates;
-      std::vector<std::list<Entry>::iterator> iters;
-      candidates.reserve(segment.lru.size());
-      iters.reserve(segment.lru.size());
-      std::size_t index = 0;
-      for (auto it = segment.lru.begin(); it != segment.lru.end();
-           ++it, ++index) {
-        serve::EvictionCandidate c;
-        c.slot = index;
-        c.resident_task = index;
-        c.last_dispatch_cycle = it->touch_seq;
-        c.resident_task_dispatches = it->hits;
-        c.reload_cycles = it->result.total_cycles;
-        candidates.push_back(c);
-        iters.push_back(it);
-      }
-      victim = iters[segment.eviction->pick_victim(candidates)];
-    }
-    segment.index.erase(victim->key);
-    segment.lru.erase(victim);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    ++segment.stats.evictions;
+bool ServiceCycleCache::insert_locked(Key key, RunResult result) {
+  if (index_.contains(key)) {
+    return false;
+  }
+  // Front = MRU. load() inserts a file's entries coldest-first (save()'s
+  // order), so each warmer entry displaces the colder ones toward the
+  // eviction end.
+  lru_.push_front({std::move(key), std::move(result)});
+  index_.emplace(lru_.front().key, lru_.begin());
+  return true;
+}
+
+void ServiceCycleCache::evict_over_capacity_locked() {
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);  // back is coldest
+    lru_.pop_back();
+    ++stats_.evictions;
     obs::add(obs_evictions_);
   }
 }
 
 void ServiceCycleCache::publish(const Key& key, const RunResult& result) {
-  Segment& segment = segment_for(key);
   {
-    std::unique_lock lock = lock_segment(segment);
-    segment.in_flight.erase(key);
-    if (segment.admission_floor > 0 &&
-        result.total_cycles < segment.admission_floor) {
-      // Cheaper to re-simulate than to hold a slot: don't admit. Waiters
-      // below still wake and re-acquire — one of them re-runs inline.
-      ++segment.stats.admission_rejects;
-    } else if (!segment.index.contains(key)) {
-      segment.lru.push_front({key, result, ++segment.touch_counter, 0});
-      segment.index.emplace(key, segment.lru.begin());
-      entry_count_.fetch_add(1, std::memory_order_relaxed);
-      ++segment.stats.insertions;
+    std::lock_guard lock(mutex_);
+    in_flight_.erase(key);
+    if (insert_locked(key, result)) {
+      ++stats_.insertions;
       obs::add(obs_insertions_);
-      evict_over_capacity_locked(segment);
-      obs::set(obs_entries_, entry_count_.load(std::memory_order_relaxed));
+      evict_over_capacity_locked();
+      obs::set(obs_entries_, static_cast<std::int64_t>(lru_.size()));
     }
   }
-  segment.ready.notify_all();
+  ready_.notify_all();
 }
 
 void ServiceCycleCache::abandon(const Key& key) noexcept {
-  Segment& segment = segment_for(key);
   {
-    std::lock_guard lock(segment.mutex);
-    segment.in_flight.erase(key);
+    std::lock_guard lock(mutex_);
+    in_flight_.erase(key);
   }
-  segment.ready.notify_all();
-}
-
-void ServiceCycleCache::set_admission_floor(sim::Cycle floor) {
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    segment->admission_floor = floor;
-  }
-}
-
-void ServiceCycleCache::set_eviction_policy(
-    std::unique_ptr<serve::EvictionPolicy> policy) {
-  if (segments_.size() > 1 && policy != nullptr) {
-    throw std::invalid_argument(
-        "ServiceCycleCache: a sharded cache needs one policy per segment; "
-        "use the EvictionPolicyKind overload");
-  }
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    segment->eviction = std::move(policy);
-  }
-}
-
-void ServiceCycleCache::set_eviction_policy(serve::EvictionPolicyKind kind,
-                                            obs::MetricsRegistry* metrics) {
-  for (const auto& segment : segments_) {
-    auto policy = serve::make_eviction_policy(kind, metrics);
-    std::lock_guard lock(segment->mutex);
-    segment->eviction = std::move(policy);
-  }
+  ready_.notify_all();
 }
 
 ServiceCycleCacheStats ServiceCycleCache::stats() const {
-  ServiceCycleCacheStats total;
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    total.hits += segment->stats.hits;
-    total.misses += segment->stats.misses;
-    total.waits += segment->stats.waits;
-    total.insertions += segment->stats.insertions;
-    total.evictions += segment->stats.evictions;
-    total.admission_rejects += segment->stats.admission_rejects;
-    total.entries += segment->lru.size();
-  }
-  return total;
+  std::lock_guard lock(mutex_);
+  ServiceCycleCacheStats snapshot = stats_;
+  snapshot.entries = lru_.size();
+  return snapshot;
 }
 
 std::size_t ServiceCycleCache::size() const {
-  std::size_t total = 0;
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    total += segment->lru.size();
-  }
-  return total;
+  std::lock_guard lock(mutex_);
+  return lru_.size();
 }
 
 void ServiceCycleCache::clear() {
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    segment->lru.clear();
-    segment->index.clear();
-    segment->stats = {};
-    segment->touch_counter = 0;
-  }
-  entry_count_.store(0, std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  stats_ = {};
   obs::set(obs_entries_, 0);
 }
 
@@ -285,9 +168,6 @@ void ServiceCycleCache::clear() {
 // Doubles travel as raw bit patterns (std::bit_cast), so a loaded result
 // is bit-identical to the published one — the property the serving
 // stack's sequential-vs-parallel identity gate depends on.
-//
-// A sharded cache serializes the merged view (segments in order, each
-// coldest-first), so files round-trip between any two segment counts.
 
 namespace {
 
@@ -419,6 +299,13 @@ void serialize_entry(std::string& out, const ServiceCycleCache::Key& key,
   put_u64(out, r.stream_words);
 }
 
+/// Smallest serialized entry (no stories, no modules): the key
+/// (3 x u64 + u8), the story and module counts, total_cycles, seconds,
+/// total_ops (7 x u64), two FifoStats (4 x u64 each), link_active_cycles
+/// and stream_words. Bounds the header's entry count by the payload size.
+constexpr std::size_t kMinEntryBytes = 25 + 2 * 8 + 2 * 8 + 7 * 8 +
+                                       2 * 4 * 8 + 2 * 8;
+
 bool deserialize_entry(Reader& in, ServiceCycleCache::Key& key,
                        RunResult& r) {
   key.program_fingerprint = in.get_u64();
@@ -468,28 +355,15 @@ bool deserialize_entry(Reader& in, ServiceCycleCache::Key& key,
 
 }  // namespace
 
-bool ServiceCycleCache::insert_locked(Segment& segment, Key key,
-                                      RunResult result) {
-  if (segment.index.contains(key)) {
-    return false;
-  }
-  // Front = MRU: entries arrive coldest-first from save(), so each
-  // warmer entry displaces the colder ones toward the eviction end.
-  segment.lru.push_front({std::move(key), std::move(result), 0, 0});
-  segment.index.emplace(segment.lru.front().key, segment.lru.begin());
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 std::size_t ServiceCycleCache::save(const std::string& path) const {
   std::string payload;
   std::uint64_t count = 0;
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
+  {
+    std::lock_guard lock(mutex_);
     // Back-to-front: coldest first, so a capacity-truncating future load
     // naturally keeps the hottest entries resident (they insert last and
     // LRU-evict from the back).
-    for (auto it = segment->lru.rbegin(); it != segment->lru.rend(); ++it) {
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
       serialize_entry(payload, it->key, it->result);
       ++count;
     }
@@ -567,10 +441,12 @@ std::size_t ServiceCycleCache::load(const std::string& path) {
 
   // All-or-nothing: parse every entry before touching the cache, so a
   // file that goes bad mid-stream cannot leave a half-loaded state.
-  std::vector<std::pair<Key, RunResult>> entries;
-  entries.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, 1 << 20)));
   Reader in{payload.data(), payload.size(), 0, true};
+  if (!in.plausible_count(count, kMinEntryBytes)) {
+    return reject("implausible entry count");
+  }
+  std::vector<std::pair<Key, RunResult>> entries;
+  entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Key key;
     RunResult result;
@@ -584,18 +460,14 @@ std::size_t ServiceCycleCache::load(const std::string& path) {
   }
 
   std::size_t loaded = 0;
+  std::lock_guard lock(mutex_);
   for (auto& [key, result] : entries) {
-    Segment& segment = segment_for(key);
-    std::lock_guard lock(segment.mutex);
-    if (insert_locked(segment, std::move(key), std::move(result))) {
+    if (insert_locked(std::move(key), std::move(result))) {
       ++loaded;
     }
   }
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    evict_over_capacity_locked(*segment);
-  }
-  obs::set(obs_entries_, entry_count_.load(std::memory_order_relaxed));
+  evict_over_capacity_locked();
+  obs::set(obs_entries_, static_cast<std::int64_t>(lru_.size()));
   return loaded;
 }
 

@@ -19,13 +19,6 @@
 // lets the simulation thread pick up a prefetched result the moment it
 // is ready.
 //
-// Sizing is cost-informed: an admission floor drops entries cheaper to
-// re-simulate than to keep (set_admission_floor), and capacity eviction
-// can delegate the victim choice to the serving stack's EvictionPolicy
-// machinery (set_eviction_policy) — e.g. cost-aware eviction drops the
-// entry with the fewest simulated cycles, i.e. the one cheapest to
-// recompute. Without a policy the built-in O(1) LRU order applies.
-//
 // Cross-run persistence: the serving suite and its seeds are
 // deterministic, so memoized results are valid across process runs.
 // save()/load() serialize the resident entries to a versioned,
@@ -33,41 +26,21 @@
 // garbled or version-mismatched file is ignored with a warning, never a
 // crash) and round-trips bit-exactly (doubles travel as raw bits), so a
 // replayed entry is indistinguishable from a re-simulated one.
-//
-// Sharding: at higher host-thread counts (cluster fleet threads, many
-// workers) a single mutex serializes every lookup. The cache can be
-// split into S independently-locked segments selected by the key hash
-// (which mixes the story digest, so concurrent distinct batches spread
-// across segments). Each segment keeps its own LRU order, in-flight
-// rendezvous and stats; stats() sums the segments, and save()/load()
-// serialize the merged view so the on-disk format is identical for any
-// segment count. The per-lookup outcome (hit/wait/miss) depends only on
-// which keys are resident, so hits+waits+misses and admission rejects
-// are invariant across segment counts.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "data/types.hpp"
 #include "obs/metrics.hpp"
-#include "sim/types.hpp"
-
-namespace mann::serve {
-class EvictionPolicy;  // serve/eviction.hpp (victim choice machinery)
-enum class EvictionPolicyKind : std::uint8_t;
-}  // namespace mann::serve
 
 namespace mann::accel {
 
@@ -82,7 +55,6 @@ struct ServiceCycleCacheStats {
   std::uint64_t waits = 0;        ///< resolved by an in-flight run we blocked on
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t admission_rejects = 0;  ///< publishes below the cost floor
   std::size_t entries = 0;        ///< resident entries at sample time
 
   /// True hits over all lookups (hits + waits + misses).
@@ -127,18 +99,11 @@ class ServiceCycleCache {
   static constexpr std::uint32_t kPersistVersion = 1;
 
   /// `capacity` bounds resident entries; the least recently used entry is
-  /// evicted on overflow. Throws std::invalid_argument when `capacity` or
-  /// `segments` is 0. When `metrics` is set the cache mirrors its stats
-  /// into "accel.cycle_cache.*" counters (non-owning; may be null).
-  /// `segments` splits the cache into that many independently-locked
-  /// shards (key-hash selected; capacity divides evenly, rounded up).
-  /// With more than one segment and a registry, per-segment
-  /// "accel.cycle_cache.segment.<i>.{hits,waits,misses,contended}"
-  /// counters expose where lookups land and which locks are fought over.
+  /// evicted on overflow. Throws std::invalid_argument when `capacity` is
+  /// 0. When `metrics` is set the cache mirrors its stats into
+  /// "accel.cycle_cache.*" counters (non-owning; may be null).
   explicit ServiceCycleCache(std::size_t capacity = 1024,
-                             obs::MetricsRegistry* metrics = nullptr,
-                             std::size_t segments = 1);
-  ~ServiceCycleCache();
+                             obs::MetricsRegistry* metrics = nullptr);
 
   ServiceCycleCache(const ServiceCycleCache&) = delete;
   ServiceCycleCache& operator=(const ServiceCycleCache&) = delete;
@@ -152,32 +117,12 @@ class ServiceCycleCache {
       const Key& key, CacheOutcome* outcome = nullptr);
 
   /// Inserts the owned key's result (evicting beyond capacity) and wakes
-  /// any acquire() blocked on it. Results below the admission floor are
-  /// not kept — cheaper to recompute than to cache — but the waiters are
-  /// still woken (the rendezvous contract is unconditional).
+  /// any acquire() blocked on it.
   void publish(const Key& key, const RunResult& result);
 
   /// Releases ownership without a result (the simulation threw); a
   /// blocked acquire() takes over the computation.
   void abandon(const Key& key) noexcept;
-
-  /// Cost-informed admission: publish() drops results whose simulated
-  /// cost is under `floor` cycles (0 = keep everything, the default).
-  void set_admission_floor(sim::Cycle floor);
-
-  /// Delegates capacity-eviction victim choice to a serve::EvictionPolicy
-  /// (candidates: recency = touch order, frequency = per-entry hits,
-  /// reload cost = the entry's simulated cycles). Null restores the
-  /// built-in O(1) LRU order. A sharded cache needs one policy instance
-  /// per segment, so this overload throws std::invalid_argument when
-  /// segments() > 1 — use the kind overload there.
-  void set_eviction_policy(std::unique_ptr<serve::EvictionPolicy> policy);
-
-  /// Same, by policy kind: constructs one independent policy per segment
-  /// via serve::make_eviction_policy(kind, metrics), so it works for any
-  /// segment count.
-  void set_eviction_policy(serve::EvictionPolicyKind kind,
-                           obs::MetricsRegistry* metrics = nullptr);
 
   // ---- cross-run persistence ----
 
@@ -197,9 +142,6 @@ class ServiceCycleCache {
   [[nodiscard]] ServiceCycleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t segments() const noexcept {
-    return segments_.size();
-  }
   void clear();
 
  private:
@@ -209,51 +151,22 @@ class ServiceCycleCache {
   struct Entry {
     Key key;
     RunResult result;
-    std::uint64_t touch_seq = 0;  ///< monotone recency clock (policy view)
-    std::uint64_t hits = 0;       ///< lookups resolved by this entry
   };
 
-  /// One independently-locked shard: its own LRU order, in-flight
-  /// rendezvous, recency clock and stats. Never crosses into another
-  /// segment, so two threads on different segments never contend.
-  struct Segment {
-    mutable std::mutex mutex;
-    std::condition_variable ready;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-    std::unordered_set<Key, KeyHash> in_flight;
-    ServiceCycleCacheStats stats;
-    std::uint64_t touch_counter = 0;
-    sim::Cycle admission_floor = 0;
-    std::unique_ptr<serve::EvictionPolicy> eviction;
-    // Mirrored per-segment obs instruments (null without a registry or
-    // for a single-segment cache).
-    obs::Counter* obs_hits = nullptr;
-    obs::Counter* obs_waits = nullptr;
-    obs::Counter* obs_misses = nullptr;
-    obs::Counter* obs_contended = nullptr;  ///< lock acquisitions that blocked
-  };
-
-  [[nodiscard]] Segment& segment_for(const Key& key) noexcept;
-  /// Locks `segment.mutex`, counting the acquisition as contended when
-  /// another thread already holds it.
-  [[nodiscard]] std::unique_lock<std::mutex> lock_segment(Segment& segment);
-  /// Inserts without claiming in-flight ownership (load() path); the
-  /// segment lock must be held. Returns false when the key is already
-  /// resident.
-  bool insert_locked(Segment& segment, Key key, RunResult result);
-  /// Evicts past the segment's share of capacity via the installed policy
-  /// (or LRU); the segment lock must be held.
-  void evict_over_capacity_locked(Segment& segment);
+  /// Inserts at the most recently used end; the lock must be held.
+  /// Returns false when the key is already resident.
+  bool insert_locked(Key key, RunResult result);
+  /// Evicts LRU entries past capacity; the lock must be held.
+  void evict_over_capacity_locked();
 
   std::size_t capacity_;
-  std::size_t segment_capacity_;
-  std::vector<std::unique_ptr<Segment>> segments_;
-  /// Resident entries across all segments, maintained atomically so the
-  /// entries gauge never needs a cross-segment lock sweep.
-  std::atomic<std::int64_t> entry_count_{0};
-  // Mirrored aggregate obs instruments (null without a registry); shared
-  // across segments — counters are atomic.
+  mutable std::mutex mutex_;
+  std::condition_variable ready_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::unordered_set<Key, KeyHash> in_flight_;
+  ServiceCycleCacheStats stats_;
+  // Mirrored obs instruments (null without a registry).
   obs::Counter* obs_hits_ = nullptr;
   obs::Counter* obs_waits_ = nullptr;
   obs::Counter* obs_misses_ = nullptr;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "accel/service_cycle_cache.hpp"
 #include "cluster/fleet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -98,23 +97,10 @@ Cluster::Cluster(ClusterConfig config,
   }
   // Callers set ServerConfig::metrics; the scheduler-level copy only
   // happens inside each ServerSession's constructor, which runs after
-  // the fleet cache and pool are built here.
+  // the pool is built here.
   obs::MetricsRegistry* metrics = config_.server.scheduler.metrics
                                       ? config_.server.scheduler.metrics
                                       : config_.server.metrics;
-  if (config_.cache_segments > 0 &&
-      config_.server.scheduler.cycle_cache == nullptr) {
-    // Fleet-shared memoization tier: one sharded cache the whole fleet
-    // dispatches through, so a workload one instance already simulated
-    // replays everywhere. Built before (and destroyed after) the
-    // sessions that point at it.
-    const std::size_t capacity =
-        std::max<std::size_t>(1, config_.server.scheduler.cache_capacity) *
-        config_.instances;
-    fleet_cache_ = std::make_unique<accel::ServiceCycleCache>(
-        capacity, metrics, config_.cache_segments);
-    config_.server.scheduler.cycle_cache = fleet_cache_.get();
-  }
   if (config_.fleet_threads > 1) {
     // More threads than instances cannot help: each barrier has exactly
     // one task per instance.

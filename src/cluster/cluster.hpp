@@ -43,10 +43,6 @@
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 
-namespace mann::accel {
-class ServiceCycleCache;  // accel/service_cycle_cache.hpp
-}  // namespace mann::accel
-
 namespace mann::cluster {
 
 class FleetPool;  // cluster/fleet_pool.hpp
@@ -67,16 +63,6 @@ struct ClusterConfig {
   /// more are clamped to the fleet size. Purely a host-side knob: every
   /// simulated number is bit-identical for any value (test-gated).
   std::size_t fleet_threads = 0;
-  /// When > 0, the cluster owns one accel::ServiceCycleCache with this
-  /// many independently-locked segments, shared by every instance (each
-  /// instance's scheduler.cycle_cache points at it; an explicitly
-  /// configured server.scheduler.cycle_cache wins). Cached results are
-  /// pure function values, so sharing never changes a simulated number —
-  /// it only keeps fleet threads from re-simulating workloads a sibling
-  /// already paid for, without serializing on one mutex. Capacity is
-  /// scheduler.cache_capacity scaled by the fleet size. 0 = no fleet
-  /// cache (each instance keeps whatever its template says).
-  std::size_t cache_segments = 0;
 };
 
 /// One instance's slice of the cluster outcome.
@@ -224,9 +210,6 @@ class Cluster {
   ClusterConfig config_;
   std::unique_ptr<RouterPolicy> policy_;
   Autoscaler autoscaler_;
-  /// Fleet-shared cycle cache (config_.cache_segments > 0); must outlive
-  /// the instances whose schedulers point at it.
-  std::unique_ptr<accel::ServiceCycleCache> fleet_cache_;
   /// Host threads for step_until fan-out (config_.fleet_threads > 1).
   std::unique_ptr<FleetPool> pool_;
   std::vector<std::unique_ptr<Instance>> instances_;

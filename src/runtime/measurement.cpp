@@ -251,7 +251,6 @@ serve::ServerConfig build_server_config(const ServingOptions& options) {
   scheduler.work_stealing = options.work_stealing;
   scheduler.eviction = options.eviction;
   scheduler.workers = options.workers;
-  scheduler.affinity_speculation = options.affinity_speculation;
   scheduler.cache_capacity = options.cache_capacity;
   scheduler.cycle_cache = options.cycle_cache;
 
@@ -322,7 +321,6 @@ ClusterMeasurement measure_cluster(const std::vector<TaskArtifacts>& suite,
   config.router = cluster_options.router;
   config.autoscaler = cluster_options.autoscaler;
   config.fleet_threads = cluster_options.fleet_threads;
-  config.cache_segments = cluster_options.cache_segments;
 
   cluster::Cluster fleet(std::move(config), models);
 

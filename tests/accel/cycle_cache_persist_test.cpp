@@ -11,8 +11,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -77,6 +80,58 @@ RunResult rich_result(std::uint64_t salt) {
   return r;
 }
 
+// Header layout: u64 magic, u64 versions, u64 payload_bytes,
+// u64 payload checksum, u64 entry count; the payload follows.
+constexpr std::size_t kPayloadBytesOffset = 16;
+constexpr std::size_t kChecksumOffset = 24;
+constexpr std::size_t kCountOffset = 32;
+constexpr std::size_t kHeaderBytes = 40;
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void put_u64_at(std::string& bytes, std::size_t at, std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+/// Rewrites the header's payload size and checksum to match the payload,
+/// so a mutated payload gets past the integrity gates to the entry parser.
+void reseal(std::string& bytes) {
+  std::uint64_t h = kFnv1aOffset;
+  for (std::size_t i = kHeaderBytes; i < bytes.size(); ++i) {
+    h = fnv1a_mix(h, static_cast<std::uint8_t>(bytes[i]));
+  }
+  put_u64_at(bytes, kPayloadBytesOffset, bytes.size() - kHeaderBytes);
+  put_u64_at(bytes, kChecksumOffset, h);
+}
+
+/// Offsets of every count/length field of a well-formed file: the
+/// header's entry count and, per entry, the story count, the module
+/// count and each module-name length.
+std::vector<std::size_t> count_field_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets{kCountOffset};
+  std::size_t at = kHeaderBytes;
+  for (std::uint64_t e = 0; e < u64_at(bytes, kCountOffset); ++e) {
+    at += 3 * 8 + 1;  // key
+    offsets.push_back(at);
+    at += 8 + u64_at(bytes, at) * (3 * 8 + 1);  // stories
+    at += 2 * 8;                                // total_cycles, seconds
+    offsets.push_back(at);
+    const std::uint64_t modules = u64_at(bytes, at);
+    at += 8;
+    for (std::uint64_t m = 0; m < modules; ++m) {
+      offsets.push_back(at);
+      at += 8 + u64_at(bytes, at) + 2 * 8 + 7 * 8;  // name, cycles, ops
+    }
+    at += 7 * 8 + 2 * 4 * 8 + 2 * 8;  // ops, two FIFOs, link, stream
+  }
+  EXPECT_EQ(at, bytes.size());
+  return offsets;
+}
+
 void expect_bit_identical(const RunResult& a, const RunResult& b) {
   // Bit equality, not EXPECT_DOUBLE_EQ: persistence stores raw bits.
   EXPECT_TRUE(run_results_identical(a, b));
@@ -114,41 +169,7 @@ TEST(CycleCachePersist, RoundTripIsBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(CycleCachePersist, SegmentCountIsNotPartOfTheOnDiskFormat) {
-  // A sharded cache saves a merged view; any segmentation loads it.
-  // Save from 4 segments, reload into 1 and 8: every entry must replay
-  // bit-identically — the file format stays v1, segment-agnostic.
-  const std::string path = temp_path("cycle_cache_segments.bin");
-  std::remove(path.c_str());
-
-  // Capacity / segments stays >= the entry count so the per-segment
-  // LRU bound can never evict, however unevenly the keys hash.
-  ServiceCycleCache sharded(128, nullptr, 4);
-  std::vector<ServiceCycleCache::Key> keys;
-  for (std::uint64_t k = 0; k < 12; ++k) {
-    keys.push_back({k * 31 + 5, k * 17 + 9, 3, k % 2 == 0});
-    seed_entry(sharded, keys.back(), rich_result(k));
-  }
-  ASSERT_EQ(sharded.save(path), keys.size());
-
-  for (const std::size_t segments : {1u, 8u}) {
-    ServiceCycleCache reloaded(128, nullptr, segments);
-    ASSERT_EQ(reloaded.load(path), keys.size()) << segments << " segments";
-    EXPECT_EQ(reloaded.size(), keys.size());
-    for (std::uint64_t k = 0; k < keys.size(); ++k) {
-      const std::optional<RunResult> seen = reloaded.acquire(keys[k]);
-      ASSERT_TRUE(seen.has_value())
-          << "key " << k << " lost at " << segments << " segments";
-      expect_bit_identical(rich_result(k), *seen);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CycleCachePersist, RoundTripsRealSimulationResults) {
-  const std::string path = temp_path("cycle_cache_real.bin");
-  std::remove(path.c_str());
-
+DeviceProgram tiny_program() {
   model::ModelConfig mc;
   mc.vocab_size = 12;
   mc.embedding_dim = 8;
@@ -156,16 +177,29 @@ TEST(CycleCachePersist, RoundTripsRealSimulationResults) {
   mc.max_memory = 8;
   numeric::Rng rng(7);
   const model::MemN2N net(mc, rng);
-  const Accelerator device(AccelConfig{}, compile_model(net));
-  std::vector<data::EncodedStory> stories(4);
+  return compile_model(net);
+}
+
+std::vector<data::EncodedStory> tiny_stories(std::size_t count,
+                                             std::size_t offset = 0) {
+  std::vector<data::EncodedStory> stories(count);
   for (std::size_t i = 0; i < stories.size(); ++i) {
     const auto w = [&](std::size_t k) {
-      return static_cast<std::int32_t>((i + k) % 12);
+      return static_cast<std::int32_t>((i + k + offset) % 12);
     };
     stories[i].context = {{w(0), w(1)}, {w(2), w(3)}};
     stories[i].question = {w(4)};
     stories[i].answer = w(5);
   }
+  return stories;
+}
+
+TEST(CycleCachePersist, RoundTripsRealSimulationResults) {
+  const std::string path = temp_path("cycle_cache_real.bin");
+  std::remove(path.c_str());
+
+  const Accelerator device(AccelConfig{}, tiny_program());
+  const std::vector<data::EncodedStory> stories = tiny_stories(4);
 
   ServiceCycleCache cache(8);
   RunOptions options;
@@ -283,6 +317,32 @@ TEST(CycleCachePersist, SimulatorModelMismatchInvalidates) {
   std::remove(path.c_str());
 }
 
+TEST(CycleCachePersist, ImplausibleEntryCountIsRejectedBeforeAllocating) {
+  const std::string path = temp_path("cycle_cache_count.bin");
+  std::remove(path.c_str());
+  // An empty cache saves a bare header: empty payload, valid checksum.
+  ServiceCycleCache empty(4);
+  ASSERT_EQ(empty.save(path), 0U);
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes.size(), kHeaderBytes);
+
+  // Claim 2^20 entries. Sized from the count alone, the parse buffer
+  // would take hundreds of MB before the first entry failed to parse.
+  const std::uint64_t count = std::uint64_t{1} << 20;
+  std::memcpy(bytes.data() + kCountOffset, &count, sizeof(count));
+  write_file(path, bytes);
+
+  ServiceCycleCache fresh(4);
+  testing::internal::CaptureStderr();
+  const std::size_t loaded = fresh.load(path);
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(loaded, 0U);
+  EXPECT_EQ(fresh.size(), 0U);
+  EXPECT_NE(warning.find("implausible entry count"), std::string::npos)
+      << warning;
+  std::remove(path.c_str());
+}
+
 TEST(CycleCachePersist, LoadMergesAndResidentKeysWin) {
   const std::string path = temp_path("cycle_cache_merge.bin");
   std::remove(path.c_str());
@@ -343,6 +403,140 @@ TEST(CycleCachePersist, SaveOverwritesAtomicallyAndIsReloadable) {
   EXPECT_FALSE(reloaded.acquire({1, 1, 1, false}).has_value());
   reloaded.abandon({1, 1, 1, false});
   EXPECT_TRUE(reloaded.acquire({2, 2, 1, false}).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(CycleCachePersist, SeededMutationsNeverCrashOrCorruptEntries) {
+  const std::string path = temp_path("cycle_cache_mutated.bin");
+  std::remove(path.c_str());
+
+  // Real simulation results: warm and cold runs of several batch sizes,
+  // so the file carries varied story counts and named module reports.
+  const Accelerator device(AccelConfig{}, tiny_program());
+  std::vector<std::vector<data::EncodedStory>> batches;
+  for (std::size_t n = 1; n <= 3; ++n) {
+    batches.push_back(tiny_stories(n, n));
+  }
+  ServiceCycleCache source(16);
+  std::vector<std::pair<ServiceCycleCache::Key, RunResult>> originals;
+  for (const auto& batch : batches) {
+    for (const bool resident : {false, true}) {
+      RunOptions options;
+      options.model_resident = resident;
+      options.cycle_cache = &source;
+      originals.emplace_back(
+          ServiceCycleCache::Key{device.fingerprint(), digest_stories(batch),
+                                 batch.size(), resident},
+          device.run(batch, options));
+    }
+  }
+  ASSERT_EQ(source.save(path), originals.size());
+  const std::string clean = read_file(path);
+
+  // The unmutated file replays every batch bit-identically, no misses.
+  {
+    ServiceCycleCache reloaded(16);
+    ASSERT_EQ(reloaded.load(path), originals.size());
+    for (const auto& batch : batches) {
+      for (const bool resident : {false, true}) {
+        RunOptions options;
+        options.model_resident = resident;
+        options.cycle_cache = &reloaded;
+        RunOptions fresh;
+        fresh.model_resident = resident;
+        EXPECT_TRUE(run_results_identical(device.run(batch, options),
+                                          device.run(batch, fresh)));
+      }
+    }
+    EXPECT_EQ(reloaded.stats().misses, 0U);
+  }
+
+  const std::vector<std::size_t> count_fields = count_field_offsets(clean);
+  std::mt19937_64 rng(2019);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  constexpr int kMutations = 5000;
+  testing::internal::CaptureStderr();  // one rejection warning per load
+  for (int i = 0; i < kMutations; ++i) {
+    std::string bytes = clean;
+    const int kind = i % 5;
+    if (kind == 0) {
+      // Bit flip anywhere, checksum left alone: caught before parsing.
+      bytes[below(bytes.size())] ^= static_cast<char>(1U << below(8));
+    } else if (kind == 1) {
+      // Truncation, resealed so the parser meets the short stream.
+      bytes.resize(kHeaderBytes + below(bytes.size() - kHeaderBytes));
+      reseal(bytes);
+    } else if (kind == 2 || kind == 3) {
+      // Splice: a payload slice inserted at (kind 2) or copied over
+      // (kind 3) another offset, resealed.
+      const std::size_t from =
+          kHeaderBytes + below(bytes.size() - kHeaderBytes);
+      const std::string slice =
+          bytes.substr(from, 1 + below(bytes.size() - from));
+      const std::size_t to =
+          kHeaderBytes + below(bytes.size() - kHeaderBytes);
+      if (kind == 2) {
+        bytes.insert(to, slice);
+      } else {
+        bytes.replace(to, slice.size(), slice);
+      }
+      reseal(bytes);
+    } else {
+      // Count/length rewrite: one count field set to an edge value.
+      const std::size_t at = count_fields[below(count_fields.size())];
+      const std::uint64_t was = u64_at(bytes, at);
+      const std::uint64_t values[] = {0,
+                                      1,
+                                      was - 1,
+                                      was + 1,
+                                      2 * was,
+                                      std::uint64_t{1} << 20,
+                                      std::uint64_t{1} << 32,
+                                      std::uint64_t{1} << 63,
+                                      ~std::uint64_t{0}};
+      put_u64_at(bytes, at, values[below(std::size(values))]);
+      reseal(bytes);
+    }
+    if (bytes == clean) {
+      continue;  // a no-op mutation (e.g. a splice onto itself)
+    }
+    write_file(path, bytes);
+
+    ServiceCycleCache cache(16);
+    const std::size_t loaded = cache.load(path);
+    SCOPED_TRACE("mutation " + std::to_string(i) + " kind " +
+                 std::to_string(kind));
+    EXPECT_LE(loaded, originals.size());
+    EXPECT_EQ(cache.size(), loaded);
+    if (kind == 0) {
+      EXPECT_EQ(loaded, 0U);
+    }
+    if (kind == 3) {
+      // A resealed overwrite can rewrite result fields in place, which
+      // the recomputed checksum then vouches for: only the ledger above
+      // is checkable.
+      continue;
+    }
+    // Every other mutation shifts or cuts the entry stream: whatever
+    // loaded replays an original result bit for bit.
+    for (const auto& [key, result] : originals) {
+      if (const std::optional<RunResult> seen = cache.acquire(key)) {
+        EXPECT_TRUE(run_results_identical(result, *seen));
+      } else {
+        cache.abandon(key);
+      }
+    }
+  }
+  // The resealed mutations got past the integrity gates: the entry
+  // parser itself rejected some of them, on each of its checks.
+  const std::string warnings = testing::internal::GetCapturedStderr();
+  for (const char* reason :
+       {"checksum mismatch", "implausible entry count",
+        "malformed entry stream", "trailing bytes after the last entry"}) {
+    EXPECT_NE(warnings.find(reason), std::string::npos) << reason;
+  }
   std::remove(path.c_str());
 }
 

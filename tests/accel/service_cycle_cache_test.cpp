@@ -12,7 +12,6 @@
 #include "accel/compiler.hpp"
 #include "model/memn2n.hpp"
 #include "numeric/random.hpp"
-#include "serve/eviction.hpp"
 
 namespace mann::accel {
 namespace {
@@ -279,60 +278,6 @@ TEST(ServiceCycleCache, DifferentProgramsDoNotCollide) {
   EXPECT_EQ(cache.stats().hits, 0U);
 }
 
-TEST(ServiceCycleCache, AdmissionFloorDropsCheapResultsButWakesWaiters) {
-  ServiceCycleCache cache(4);
-  cache.set_admission_floor(100);
-
-  // Below the floor: cheaper to re-simulate than to hold a slot.
-  const ServiceCycleCache::Key cheap{1, 1, 1, false};
-  EXPECT_FALSE(cache.acquire(cheap).has_value());
-  std::optional<RunResult> seen{fake_result(0)};  // sentinel non-empty
-  std::thread waiter([&] { seen = cache.acquire(cheap); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  cache.publish(cheap, fake_result(99));
-  waiter.join();
-  // The rendezvous contract held — the waiter woke — but the entry was
-  // not admitted, so the waiter took over the computation (a miss).
-  EXPECT_FALSE(seen.has_value());
-  cache.abandon(cheap);
-  EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.stats().admission_rejects, 1U);
-  EXPECT_EQ(cache.stats().insertions, 0U);
-
-  // At/above the floor: admitted as usual.
-  const ServiceCycleCache::Key costly{1, 2, 1, false};
-  EXPECT_FALSE(cache.acquire(costly).has_value());
-  cache.publish(costly, fake_result(100));
-  EXPECT_TRUE(cache.acquire(costly).has_value());
-  EXPECT_EQ(cache.stats().insertions, 1U);
-  EXPECT_EQ(cache.stats().admission_rejects, 1U);
-}
-
-TEST(ServiceCycleCache, CostAwareEvictionDropsCheapestToRecompute) {
-  ServiceCycleCache cache(2);
-  cache.set_eviction_policy(
-      serve::make_eviction_policy(serve::EvictionPolicyKind::kCostAware));
-
-  const ServiceCycleCache::Key expensive{1, 0, 1, false};
-  const ServiceCycleCache::Key cheap{2, 0, 1, false};
-  const ServiceCycleCache::Key next{3, 0, 1, false};
-  EXPECT_FALSE(cache.acquire(expensive).has_value());
-  cache.publish(expensive, fake_result(9'000));
-  EXPECT_FALSE(cache.acquire(cheap).has_value());
-  cache.publish(cheap, fake_result(10));
-  // Touch the cheap entry so plain LRU would have evicted `expensive`;
-  // the cost-aware policy instead drops the entry cheapest to re-run.
-  EXPECT_TRUE(cache.acquire(cheap).has_value());
-  EXPECT_FALSE(cache.acquire(next).has_value());
-  cache.publish(next, fake_result(5'000));
-
-  EXPECT_EQ(cache.stats().evictions, 1U);
-  EXPECT_TRUE(cache.acquire(expensive).has_value());  // survivor
-  EXPECT_TRUE(cache.acquire(next).has_value());
-  EXPECT_FALSE(cache.acquire(cheap).has_value());  // evicted: cheapest
-  cache.abandon(cheap);
-}
-
 TEST(ServiceCycleCache, ClearResetsEntriesAndStats) {
   ServiceCycleCache cache(4);
   const ServiceCycleCache::Key key{1, 2, 3, false};
@@ -345,79 +290,11 @@ TEST(ServiceCycleCache, ClearResetsEntriesAndStats) {
   cache.abandon(key);
 }
 
-// ------------------------------------------------------------- sharding
-
-TEST(ServiceCycleCacheSharded, StatTotalsAreInvariantAcrossSegmentCounts) {
-  // One deterministic single-threaded sequence replayed against caches
-  // sharded 1/2/4/8 ways: segmentation moves entries between locks, but
-  // the summed hit/miss/insertion/admission accounting must not move.
-  // Capacity is sized so even the most skewed hash split cannot
-  // overflow a single segment (capacity/segments = 64 >= 32 entries):
-  // per-segment LRU means a tight cache CAN evict earlier when sharded,
-  // which is a capacity artifact, not an accounting difference.
-  const auto run_sequence = [](std::size_t segments) {
-    ServiceCycleCache cache(512, nullptr, segments);
-    EXPECT_EQ(cache.segments(), segments);
-    cache.set_admission_floor(100);
-    for (std::uint64_t k = 0; k < 48; ++k) {
-      const ServiceCycleCache::Key key{k * 7 + 1, k * 13 + 2, 4, k % 2 == 0};
-      EXPECT_FALSE(cache.acquire(key).has_value());
-      // The first 16 results sit below the admission floor: rejected.
-      cache.publish(key, fake_result(k < 16 ? 50 : 200));
-    }
-    for (std::uint64_t k = 0; k < 48; ++k) {
-      const ServiceCycleCache::Key key{k * 7 + 1, k * 13 + 2, 4, k % 2 == 0};
-      const std::optional<RunResult> seen = cache.acquire(key);
-      EXPECT_EQ(seen.has_value(), k >= 16) << "key " << k;
-      if (!seen.has_value()) {
-        cache.abandon(key);
-      }
-    }
-    return cache.stats();
-  };
-
-  const ServiceCycleCacheStats one = run_sequence(1);
-  EXPECT_EQ(one.hits, 32U);
-  EXPECT_EQ(one.misses, 64U);  // 48 first-pass + 16 rejected re-misses
-  EXPECT_EQ(one.waits, 0U);
-  EXPECT_EQ(one.insertions, 32U);
-  EXPECT_EQ(one.admission_rejects, 16U);
-  EXPECT_EQ(one.entries, 32U);
-  for (const std::size_t segments : {2u, 4u, 8u}) {
-    const ServiceCycleCacheStats sharded = run_sequence(segments);
-    EXPECT_EQ(sharded.hits + sharded.waits + sharded.misses,
-              one.hits + one.waits + one.misses)
-        << segments << " segments";
-    EXPECT_EQ(sharded.hits, one.hits) << segments << " segments";
-    EXPECT_EQ(sharded.misses, one.misses) << segments << " segments";
-    EXPECT_EQ(sharded.insertions, one.insertions) << segments << " segments";
-    EXPECT_EQ(sharded.admission_rejects, one.admission_rejects)
-        << segments << " segments";
-    EXPECT_EQ(sharded.entries, one.entries) << segments << " segments";
-  }
-}
-
-TEST(ServiceCycleCacheSharded, UniquePtrEvictionPolicyIsRefusedKindWorks) {
-  // One policy object cannot serve concurrently-locked segments; the
-  // kind overload builds one per segment instead.
-  ServiceCycleCache sharded(16, nullptr, 4);
-  EXPECT_THROW(sharded.set_eviction_policy(serve::make_eviction_policy(
-                   serve::EvictionPolicyKind::kCostAware)),
-               std::invalid_argument);
-  sharded.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
-  // Resetting to the built-in LRU via a null unique_ptr stays legal.
-  sharded.set_eviction_policy(nullptr);
-
-  ServiceCycleCache single(16);
-  single.set_eviction_policy(
-      serve::make_eviction_policy(serve::EvictionPolicyKind::kCostAware));
-}
-
 TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
-  // TSan coverage for the segment locks and the in-flight rendezvous:
-  // four threads over an 8-segment cache, overlapping key ranges so the
-  // same segments see hits, misses, publishes and waits concurrently.
-  ServiceCycleCache cache(256, nullptr, 8);
+  // TSan coverage for the cache lock and the in-flight rendezvous: four
+  // threads over overlapping key ranges, so the same keys see hits,
+  // misses, publishes and waits concurrently.
+  ServiceCycleCache cache(256);
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kKeys = 64;
   constexpr int kRounds = 40;

@@ -150,9 +150,6 @@ TEST(Cluster, FleetThreadCountChangesNoSimulatedReportField) {
     ClusterConfig config =
         cluster_config(4, trace, RouterPolicyKind::kPowerOfTwo);
     config.fleet_threads = threads;
-    // Exercise the fleet-shared sharded cache in every run: concurrent
-    // instances hitting the same segments must not perturb anything.
-    config.cache_segments = 4;
     Cluster cluster(config, models);
     reports.push_back(cluster.run(trace.size()));
   }
@@ -176,7 +173,6 @@ TEST(Cluster, MergedStreamIsByteIdenticalAcrossFleetThreadCounts) {
     ClusterConfig config =
         cluster_config(4, {}, RouterPolicyKind::kPowerOfTwo);
     config.fleet_threads = threads;
-    config.cache_segments = threads > 1 ? 2 * threads : 1;
     Cluster cluster(config, models);
     std::vector<Tuple> stream;
     const auto drain_window = [&] {

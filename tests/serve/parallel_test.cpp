@@ -139,27 +139,6 @@ TEST(ParallelServing, SequentialPathNeverSpeculates) {
   EXPECT_EQ(sequential.speculation.wasted, 0U);
 }
 
-TEST(ParallelServing, AffinityOffMatchesSequentialAndStillSpeculates) {
-  const auto stories = tiny_stories(10);
-  const ServingReport sequential =
-      Server(parallel_server_config(0), two_models(stories)).run(80);
-
-  // --no-affinity restores the legacy churn heuristic; either predictor
-  // only steers which variant workers pre-simulate, so the simulated
-  // report stays bit-identical to the sequential path.
-  for (const std::size_t workers : {2U, 4U}) {
-    ServerConfig config = parallel_server_config(workers);
-    config.scheduler.affinity_speculation = false;
-    const ServingReport legacy =
-        Server(config, two_models(stories)).run(80);
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    expect_same_simulated_report(sequential, legacy);
-    EXPECT_GT(legacy.speculation.speculated, 0U);
-    EXPECT_EQ(legacy.speculation.speculated,
-              legacy.speculation.useful + legacy.speculation.wasted);
-  }
-}
-
 TEST(ParallelServing, CacheWithoutWorkersIsPureMemoization) {
   const auto stories = tiny_stories(10);
   accel::ServiceCycleCache cache(256);

@@ -59,8 +59,8 @@
 // the fleet schema. A --cluster 1 closed loop reproduces the bare
 // server's simulated timeline exactly (the CI identity gate).
 // --fleet-threads N advances the instances on N host threads between
-// routing barriers over a sharded fleet-shared cycle cache; every line
-// the daemon emits is bit-identical for any N (wall clock only).
+// routing barriers; every line the daemon emits is bit-identical for
+// any N (wall clock only).
 //
 // Workload: --tiny N serves N synthetic untrained tasks (shape-only cost
 // model; instant startup, used by the pipe-driven tests); --tasks K
@@ -113,8 +113,8 @@ struct DaemonOptions {
   std::optional<serve::SchedulerPolicy> policy;  ///< default: see below
   std::size_t cluster = 0;  ///< fleet size (0 = single bare session)
   /// Host threads advancing the fleet between routing barriers (0/1 =
-  /// sequential); >1 also shards a fleet-shared cycle cache 2x this
-  /// wide. Wall-clock only — every simulated line is thread-invariant.
+  /// sequential). Wall-clock only — every simulated line is
+  /// thread-invariant.
   std::size_t fleet_threads = 0;
   cluster::RouterPolicyKind router = cluster::RouterPolicyKind::kPowerOfTwo;
   bool lockstep = false;
@@ -500,8 +500,6 @@ cluster::ClusterConfig make_cluster_config(const DaemonOptions& opts,
   config.router.kind = opts.router;
   config.router.seed = opts.seed;
   config.fleet_threads = opts.fleet_threads;
-  config.cache_segments =
-      opts.fleet_threads > 1 ? 2 * opts.fleet_threads : 0;
   return config;
 }
 
