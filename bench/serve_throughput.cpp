@@ -52,7 +52,6 @@
 //   --json PATH        write the machine-readable report (BENCH_serve.json)
 //   --policies-json P  write the FIFO-vs-EDF comparison artifact
 //   --scheduler S      acceptance-leg dispatch policy: edf (default)|fifo
-//   --eviction E       model-eviction policy: lru (default)|lfu|cost
 //   --replay PATH      also replay the recorded trace CSV (sweep 5)
 //   --trace PATH       export a Chrome trace-event JSON of the acceptance
 //                      workload (sweep 8; open in Perfetto or feed to
@@ -117,7 +116,6 @@ struct BenchOptions {
   std::size_t cluster_scale = 10;  ///< trace amplification for the fleet legs
   std::size_t fleet_threads = 4;   ///< cluster host threads (0/1 = sequential)
   serve::SchedulerPolicy policy = serve::SchedulerPolicy::kEdf;
-  serve::EvictionPolicyKind eviction = serve::EvictionPolicyKind::kLru;
   bool parallel = true;
   bool wall_gate = true;
   bool train_fallback = false;
@@ -185,20 +183,6 @@ BenchOptions parse_args(int argc, char** argv) {
                      value.c_str());
         std::exit(2);
       }
-    } else if (arg == "--eviction") {
-      const std::string value = next();
-      if (value == "lru") {
-        opts.eviction = serve::EvictionPolicyKind::kLru;
-      } else if (value == "lfu") {
-        opts.eviction = serve::EvictionPolicyKind::kLfu;
-      } else if (value == "cost") {
-        opts.eviction = serve::EvictionPolicyKind::kCostAware;
-      } else {
-        std::fprintf(stderr,
-                     "--eviction must be lru, lfu or cost, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
     } else if (arg == "--parallel") {
       opts.parallel = std::strcmp(next(), "off") != 0;
     } else if (arg == "--wall-gate") {
@@ -219,11 +203,11 @@ BenchOptions parse_args(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: serve_throughput [--tasks K] [--requests N] "
                    "[--json PATH] [--policies-json PATH] [--scheduler "
-                   "fifo|edf] [--eviction lru|lfu|cost] [--replay PATH] "
-                   "[--trace PATH] [--parallel off] [--wall-gate off] "
-                   "[--cache-dir DIR] [--cluster-trace PATH] "
-                   "[--cluster-scale F] [--fleet-threads N] "
-                   "[--train-fallback] [--train-suite]\n");
+                   "fifo|edf] [--replay PATH] [--trace PATH] "
+                   "[--parallel off] [--wall-gate off] [--cache-dir DIR] "
+                   "[--cluster-trace PATH] [--cluster-scale F] "
+                   "[--fleet-threads N] [--train-fallback] "
+                   "[--train-suite]\n");
       std::exit(2);
     }
   }
@@ -561,8 +545,8 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
   std::fprintf(f, "  \"max_batch\": %zu,\n", accept.max_batch);
   std::fprintf(f, "  \"scheduler_policy\": \"%s\",\n",
                serve::scheduler_policy_name(accept.policy));
-  std::fprintf(f, "  \"eviction_policy\": \"%s\",\n",
-               serve::eviction_policy_name(accept.eviction));
+  // Model eviction is always LRU; the field stays for the checker.
+  std::fprintf(f, "  \"eviction_policy\": \"lru\",\n");
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(accept.seed));
   std::fprintf(f, "  \"simulated\": {\n");
@@ -743,7 +727,6 @@ int main(int argc, char** argv) {
   base.max_batch = 8;
   base.max_wait_cycles = 200'000;
   base.seed = 2019;
-  base.eviction = opts.eviction;
 
   bench::print_header(
       "Serving sweep 1: device-pool size at saturating load "

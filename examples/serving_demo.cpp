@@ -15,7 +15,7 @@
 //      registry attached and export serving_demo_trace.json — open it in
 //      Perfetto (ui.perfetto.dev) or run scripts/trace_summary.py on it
 //   8. the incremental API: drive the same stack open-loop through
-//      Server::start() / submit() / step() / poll_completions(), with a
+//      ServerSession::submit() / step() / poll_completions(), with a
 //      live mid-run SLO change — the programmatic face of the
 //      mann_served daemon (tools/mann_served.cpp)
 //
@@ -216,18 +216,17 @@ int main() {
   }
   serve::SloConfig open_slo;
   open_slo.default_deadline_cycles = 500'000;
-  serve::Server open_server(
-      serve::ServingOptions().slo(open_slo), std::move(models));
-  (void)open_server.start();
+  serve::ServerSession session(serve::ServingOptions().slo(open_slo).build(),
+                               models);
   std::printf("\nincremental session:\n");
   for (int burst = 0; burst < 2; ++burst) {
     for (int i = 0; i < 4; ++i) {
       serve::SubmitRequest request;
       request.task = static_cast<std::size_t>(i % 2);
-      (void)open_server.submit(request);
+      (void)session.submit(request);
     }
-    (void)open_server.step(0);  // run the burst to quiescence
-    for (const serve::Completion& c : open_server.poll_completions()) {
+    (void)session.step(0);  // run the burst to quiescence
+    for (const serve::Completion& c : session.poll_completions()) {
       std::printf("  id=%llu task=%zu outcome=%s latency=%.3f ms\n",
                   static_cast<unsigned long long>(c.response.id),
                   c.response.task, serve::request_outcome_name(c.outcome),
@@ -236,12 +235,12 @@ int main() {
     }
     if (burst == 0) {
       open_slo.default_deadline_cycles = 150'000;  // tighten live
-      open_server.session()->set_slo(open_slo);
+      session.set_slo(open_slo);
       std::printf("  -- SLO tightened to 1.5 ms mid-session --\n");
     }
   }
-  open_server.drain();
-  const serve::ServingReport open_report = open_server.finalize();
+  session.drain();
+  const serve::ServingReport open_report = session.finalize();
   std::printf("  session report: offered=%zu completed=%zu over %llu "
               "cycles\n",
               open_report.offered, open_report.completed,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "cluster/fleet_pool.hpp"
+#include "numeric/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
@@ -56,20 +57,12 @@ constexpr serve::RequestId kIdStride = serve::RequestId{1} << 40;
 
 /// Jain's fairness index over per-instance completed counts.
 [[nodiscard]] double jain_index(const std::vector<InstanceReport>& reports) {
-  if (reports.size() < 2) {
-    return 1.0;
-  }
-  double sum = 0.0;
-  double sum_sq = 0.0;
+  std::vector<double> completed;
+  completed.reserve(reports.size());
   for (const InstanceReport& r : reports) {
-    const auto x = static_cast<double>(r.report.completed);
-    sum += x;
-    sum_sq += x * x;
+    completed.push_back(static_cast<double>(r.report.completed));
   }
-  if (sum_sq == 0.0) {
-    return 1.0;
-  }
-  return (sum * sum) / (static_cast<double>(reports.size()) * sum_sq);
+  return numeric::jain_index(completed);
 }
 
 }  // namespace

@@ -60,4 +60,20 @@ float percentile(std::span<const float> values, float p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+double jain_index(std::span<const double> shares) noexcept {
+  if (shares.size() < 2) {
+    return 1.0;
+  }
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double x : shares) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  if (sum_sq <= 0.0) {
+    return 1.0;
+  }
+  return (sum * sum) / (static_cast<double>(shares.size()) * sum_sq);
+}
+
 }  // namespace mann::numeric

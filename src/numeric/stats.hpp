@@ -25,4 +25,9 @@ struct Summary {
 /// Linear-interpolated percentile (p in [0, 100]). Throws on empty input.
 [[nodiscard]] float percentile(std::span<const float> values, float p);
 
+/// Jain's fairness index (Σx)² / (n·Σx²): 1.0 when every share is equal,
+/// 1/n when one share takes everything. 1.0 for fewer than two shares or
+/// when every share is zero.
+[[nodiscard]] double jain_index(std::span<const double> shares) noexcept;
+
 }  // namespace mann::numeric

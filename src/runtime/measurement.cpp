@@ -248,10 +248,7 @@ serve::ServerConfig build_server_config(const ServingOptions& options) {
   serve::SchedulerConfig scheduler;
   scheduler.devices = options.pool_devices;
   scheduler.dedicated_devices = options.dedicated_devices;
-  scheduler.work_stealing = options.work_stealing;
-  scheduler.eviction = options.eviction;
   scheduler.workers = options.workers;
-  scheduler.cache_capacity = options.cache_capacity;
   scheduler.cycle_cache = options.cycle_cache;
 
   // tenants()/slo()/policy() after traffic()/scheduler(): the block

@@ -124,10 +124,8 @@ struct ServingOptions {
   /// knobs; a default AdmissionConfig is transparent.
   std::vector<serve::TenantConfig> tenants;
   serve::AdmissionConfig admission;
-  /// Dispatch policy, work-stealing and model-eviction policy.
+  /// Dispatch policy.
   serve::SchedulerPolicy policy = serve::SchedulerPolicy::kEdf;
-  bool work_stealing = true;
-  serve::EvictionPolicyKind eviction = serve::EvictionPolicyKind::kLru;
   std::size_t requests = 500;
   std::uint64_t seed = 2019;
   bool ith = false;
@@ -136,7 +134,6 @@ struct ServingOptions {
   /// cache. The simulated report is bit-identical either way; only wall
   /// clock moves.
   std::size_t workers = 0;
-  std::size_t cache_capacity = 1024;
   /// External cache shared across measure_serving calls (non-owning);
   /// when null and workers > 0 the scheduler owns a private one.
   accel::ServiceCycleCache* cycle_cache = nullptr;

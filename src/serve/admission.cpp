@@ -1,10 +1,30 @@
 #include "serve/admission.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace mann::serve {
+
+namespace {
+
+/// NaN fails every comparison, so the checks are written to pass only
+/// values that are finite and in range.
+void validate_quota(const TenantConfig& tenant) {
+  const double interarrival = tenant.quota_interarrival_cycles;
+  if (!(interarrival >= 0.0) || !std::isfinite(interarrival)) {
+    throw std::invalid_argument(
+        "AdmissionController: quota_interarrival_cycles must be finite "
+        "and >= 0");
+  }
+  if (interarrival > 0.0 && !(tenant.quota_burst >= 1.0)) {
+    throw std::invalid_argument(
+        "AdmissionController: a quota needs quota_burst >= 1");
+  }
+}
+
+}  // namespace
 
 AdmissionController::AdmissionController(AdmissionConfig config,
                                          std::vector<TenantConfig> tenants,
@@ -20,14 +40,7 @@ AdmissionController::AdmissionController(AdmissionConfig config,
     }
   }
   for (const TenantConfig& tenant : tenants_) {
-    if (tenant.quota_interarrival_cycles < 0.0) {
-      throw std::invalid_argument(
-          "AdmissionController: quota_interarrival_cycles must be >= 0");
-    }
-    if (tenant.quota_interarrival_cycles > 0.0 && tenant.quota_burst < 1.0) {
-      throw std::invalid_argument(
-          "AdmissionController: a quota needs quota_burst >= 1");
-    }
+    validate_quota(tenant);
     max_tier_ = std::max(max_tier_, tenant.tier);
   }
   if (config_.overload_watermark <= 0.0 || config_.overload_watermark > 1.0) {
@@ -123,14 +136,7 @@ void AdmissionController::set_tenant(TenantId tenant,
         ") outside the " + std::to_string(tenants_.size()) +
         "-entry registry (the registry size is fixed at construction)");
   }
-  if (config.quota_interarrival_cycles < 0.0) {
-    throw std::invalid_argument(
-        "AdmissionController: quota_interarrival_cycles must be >= 0");
-  }
-  if (config.quota_interarrival_cycles > 0.0 && config.quota_burst < 1.0) {
-    throw std::invalid_argument(
-        "AdmissionController: a quota needs quota_burst >= 1");
-  }
+  validate_quota(config);
   tenants_[tenant] = config;
   // Tiers may have moved in either direction; recompute the ceiling the
   // tiered-overload thresholds are spaced against.

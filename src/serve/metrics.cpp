@@ -5,9 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "numeric/stats.hpp"
+
 namespace mann::serve {
 
 namespace {
+
+constexpr std::size_t kHistogramBins = 64;
+constexpr float kHistogramHiCycles = 50.0e6F;
 
 LatencySummary summarize(const numeric::Histogram& hist, double clock_hz) {
   LatencySummary s;
@@ -38,37 +43,27 @@ LatencySummary summarize(const numeric::Histogram& hist, double clock_hz) {
 }
 
 /// Jain's fairness index over the tenants' weight-normalized completed
-/// throughput: (Σx)² / (n·Σx²), 1.0 when service is exactly
-/// proportional to weight, approaching 1/n as one tenant monopolizes.
+/// throughput: 1.0 when service is exactly proportional to weight,
+/// approaching 1/n as one tenant monopolizes.
 double jain_fairness(const std::vector<TenantReport>& tenants) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  std::size_t n = 0;
+  std::vector<double> shares;
+  shares.reserve(tenants.size());
   for (const TenantReport& tenant : tenants) {
     if (tenant.weight <= 0.0) {
       continue;
     }
-    const double x =
-        static_cast<double>(tenant.completed) / tenant.weight;
-    sum += x;
-    sum_sq += x * x;
-    ++n;
+    shares.push_back(static_cast<double>(tenant.completed) / tenant.weight);
   }
-  if (n < 2 || sum_sq <= 0.0) {
-    return 1.0;
-  }
-  return (sum * sum) / (static_cast<double>(n) * sum_sq);
+  return numeric::jain_index(shares);
 }
 
 }  // namespace
 
-ServingMetrics::ServingMetrics(double clock_hz, std::size_t histogram_bins,
-                               double histogram_hi_cycles,
+ServingMetrics::ServingMetrics(double clock_hz,
                                power::FpgaPowerConfig power_config)
     : clock_hz_(clock_hz), power_config_(power_config),
-      latency_(0.0F, static_cast<float>(histogram_hi_cycles), histogram_bins),
-      queue_wait_(0.0F, static_cast<float>(histogram_hi_cycles),
-                  histogram_bins) {
+      latency_(0.0F, kHistogramHiCycles, kHistogramBins),
+      queue_wait_(0.0F, kHistogramHiCycles, kHistogramBins) {
   if (clock_hz <= 0.0) {
     throw std::invalid_argument("ServingMetrics: clock must be positive");
   }

@@ -204,12 +204,12 @@ struct RunTotals {
 
 class ServingMetrics {
  public:
-  /// `histogram_hi_cycles` bounds the binned latency view (samples beyond
-  /// it clamp into the top bin; percentiles stay exact via raw samples).
-  /// `power_config` parameterizes the serving energy estimate.
-  ServingMetrics(double clock_hz, std::size_t histogram_bins = 64,
-                 double histogram_hi_cycles = 50.0e6,
-                 power::FpgaPowerConfig power_config = {});
+  /// The binned latency views hold 64 bins over [0, 50e6) cycles
+  /// (samples beyond clamp into the top bin; percentiles stay exact via
+  /// raw samples). `power_config` parameterizes the serving energy
+  /// estimate.
+  explicit ServingMetrics(double clock_hz,
+                          power::FpgaPowerConfig power_config = {});
 
   void record(const InferenceResponse& response);
 

@@ -10,23 +10,23 @@
 //                            .tenants(registry)
 //                            .slo(slos)
 //                            .policy(serve::SchedulerPolicy::kEdf)
-//                            .metrics(&registry),
+//                            .metrics(&registry)
+//                            .build(),
 //                        std::move(models));
 //
 // Defaults (all inherited from the nested configs — the builder never
 // invents its own):
-//   * accel      — AccelConfig{}: 200 MHz clock, default FIFO depths,
-//                  ITH off.
+//   * accel      — AccelConfig{}: 100 MHz clock, 32-deep FIFOs, ITH off.
 //   * traffic    — TrafficConfig{}: Poisson arrivals at one request per
 //                  50k cycles, no SLOs, single default tenant, seed 2019.
 //   * admission  — AdmissionConfig{}: transparent (quota enforcement on
 //                  but no tenant carries a quota; doom/overload off).
 //   * batcher    — BatcherConfig{}: batch up to 8, flush at 200k cycles,
-//                  lanes bounded at 64.
-//   * scheduler  — SchedulerConfig{}: EDF over 1 device, no stealing,
-//                  sequential host execution.
+//                  lanes bounded at 4096 requests.
+//   * scheduler  — SchedulerConfig{}: EDF with work-stealing over 2
+//                  shared devices, sequential host execution.
 //   * power      — FpgaPowerConfig{}: the calibrated board model.
-//   * watchdog   — 20e9 cycles; histogram_bins 64; obs sinks null.
+//   * watchdog   — 20e9 cycles; obs sinks null.
 //
 // The builder is a value: copy it to fork a baseline into variants. It
 // intentionally has no behaviour beyond accumulation — build() hands the
@@ -63,7 +63,7 @@ class ServingOptions {
     config_.batcher = value;
     return *this;
   }
-  /// Dispatch policy block (devices, stealing, workers, cycle cache).
+  /// Dispatch policy block (devices, workers, cycle cache).
   /// policy() below switches just the policy enum.
   ServingOptions& scheduler(SchedulerConfig value) {
     config_.scheduler = std::move(value);
@@ -75,10 +75,6 @@ class ServingOptions {
   }
   ServingOptions& watchdog_cycles(sim::Cycle value) {
     config_.watchdog_cycles = value;
-    return *this;
-  }
-  ServingOptions& histogram_bins(std::size_t value) {
-    config_.histogram_bins = value;
     return *this;
   }
 

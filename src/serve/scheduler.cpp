@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -45,21 +46,22 @@ Scheduler::Scheduler(SchedulerConfig config,
     tenant_lanes_ = std::max<std::size_t>(1, config_.tenant_weights.size());
     tenants_.resize(tenant_lanes_);
     for (std::size_t t = 0; t < config_.tenant_weights.size(); ++t) {
-      if (config_.tenant_weights[t] <= 0.0) {
+      const double weight = config_.tenant_weights[t];
+      if (!(weight > 0.0) || !std::isfinite(weight)) {
         throw std::invalid_argument(
-            "Scheduler: WFQ tenant weights must be > 0");
+            "Scheduler: WFQ tenant weights must be finite and > 0");
       }
-      tenants_[t].weight = config_.tenant_weights[t];
+      tenants_[t].weight = weight;
     }
   }
   const SchedulerPolicy order = config_.policy == SchedulerPolicy::kFifo
                                     ? SchedulerPolicy::kFifo
                                     : SchedulerPolicy::kEdf;
   queues_.assign(shards_ * tenant_lanes_, PendingQueue(PendingOrder{order}));
-  task_dispatches_.resize(task_devices_.size(), 0);
   task_cycles_.resize(task_devices_.size());
   speculation_tail_.resize(shards_);
-  eviction_ = make_eviction_policy(config_.eviction, config_.metrics);
+  obs_eviction_victims_ =
+      obs::counter(config_.metrics, "serve.eviction.victims");
   cache_ = config_.cycle_cache;
   if (cache_ == nullptr && config_.workers > 0) {
     owned_cache_ = std::make_unique<accel::ServiceCycleCache>(
@@ -271,8 +273,9 @@ bool Scheduler::set_policy(SchedulerPolicy policy) {
 }
 
 void Scheduler::set_tenant_weight(TenantId tenant, double weight) {
-  if (weight <= 0.0) {
-    throw std::invalid_argument("Scheduler: WFQ tenant weights must be > 0");
+  if (!(weight > 0.0) || !std::isfinite(weight)) {
+    throw std::invalid_argument(
+        "Scheduler: WFQ tenant weights must be finite and > 0");
   }
   if (tenant < tenants_.size()) {
     tenants_[tenant].weight = weight;
@@ -442,8 +445,8 @@ bool Scheduler::dispatch_best_edf(sim::Cycle now) {
     if (best_queue != queues_.size() && best_key < key) {
       continue;  // a more urgent shard already has a slot lined up
     }
-    const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                          steal_worthwhile(shard, head.batch, now);
+    const bool steal_ok =
+        dedicated > 0 && steal_worthwhile(shard, head.batch, now);
     bool has_slot = false;
     for (const Slot& slot : slots_) {
       if (slot_eligible(slot, shard, steal_ok, now)) {
@@ -464,8 +467,8 @@ bool Scheduler::dispatch_best_edf(sim::Cycle now) {
   const PendingBatch pending = pop_queue(best_queue);
   // Rebuild the winner's eligible set once for the slot choice (same
   // inputs as the scan above, so the same slots qualify).
-  const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                        steal_worthwhile(best_shard, pending.batch, now);
+  const bool steal_ok =
+      dedicated > 0 && steal_worthwhile(best_shard, pending.batch, now);
   std::vector<Slot*> free_slots;
   for (Slot& slot : slots_) {
     if (slot_eligible(slot, best_shard, steal_ok, now)) {
@@ -523,8 +526,8 @@ bool Scheduler::dispatch_best_wfq(sim::Cycle now) {
       if (best_index != queues_.size() && best_key < key) {
         continue;
       }
-      const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                            steal_worthwhile(q, head.batch, now);
+      const bool steal_ok =
+          dedicated > 0 && steal_worthwhile(q, head.batch, now);
       bool has_slot = false;
       for (const Slot& slot : slots_) {
         if (slot_eligible(slot, q, steal_ok, now)) {
@@ -543,8 +546,8 @@ bool Scheduler::dispatch_best_wfq(sim::Cycle now) {
       continue;  // this tenant's work is slot-blocked; try the next one
     }
     const PendingBatch pending = pop_queue(best_index);
-    const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                          steal_worthwhile(best_shard, pending.batch, now);
+    const bool steal_ok =
+        dedicated > 0 && steal_worthwhile(best_shard, pending.batch, now);
     std::vector<Slot*> free_slots;
     for (Slot& slot : slots_) {
       if (slot_eligible(slot, best_shard, steal_ok, now)) {
@@ -591,21 +594,16 @@ Scheduler::Slot* Scheduler::choose_slot_edf(
       return slot;
     }
   }
-  // Every candidate displaces a resident model: the eviction policy
-  // chooses the victim instead of slot-order accident.
-  std::vector<EvictionCandidate> candidates;
-  candidates.reserve(free_slots.size());
-  for (const Slot* slot : free_slots) {
-    EvictionCandidate c;
-    c.slot = slot->id;
-    c.resident_task = *slot->resident_task;
-    c.last_dispatch_cycle = slot->last_dispatch_cycle;
-    c.resident_task_dispatches = task_dispatches_[*slot->resident_task];
-    c.reload_cycles = reload_estimate(*slot->resident_task);
-    candidates.push_back(c);
+  // Every candidate displaces a resident model: evict the least recently
+  // dispatched one (first minimum wins, so ties go to the lower slot).
+  obs::add(obs_eviction_victims_);
+  Slot* victim = free_slots.front();
+  for (Slot* slot : free_slots) {
+    if (slot->last_dispatch_cycle < victim->last_dispatch_cycle) {
+      victim = slot;
+    }
   }
-  const std::size_t victim = eviction_->pick_victim(candidates);
-  return free_slots[victim];
+  return victim;
 }
 
 void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
@@ -676,7 +674,6 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
   slot.stories += batch.size();
   slot.model_uploads += warm ? 0 : 1;
   slot.stolen_batches += stolen ? 1 : 0;
-  ++task_dispatches_[batch.task];
   TaskCycleEstimate& estimate = task_cycles_[batch.task];
   (warm ? estimate.warm : estimate.cold) = run.total_cycles;
   device_queue_stats_ += run.queue_stats();

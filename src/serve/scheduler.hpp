@@ -16,14 +16,14 @@
 //     deadlines configured EDF picks batches in submit order — though
 //     unlike kFifo it is work-conserving: a younger batch may dispatch
 //     while the oldest waits for an eligible slot). Free slots serve their
-//     own shard first; with work_stealing on, an idle slot that finds
-//     its queue empty steals the most urgent batch from any other
-//     shard's queue — across the shard/overflow boundary in both
-//     directions — so one overloaded shard can no longer idle the rest
-//     of the pool. A steal displaces the idle slot's resident model, so
-//     it only happens when it is worth the reload: the home slot's
-//     remaining busy time exceeds the task's observed reload cost, or
-//     waiting for home would miss the batch's deadline.
+//     own shard first; an idle slot that finds its queue empty steals
+//     the most urgent batch from any other shard's queue — across the
+//     shard/overflow boundary in both directions — so one overloaded
+//     shard can no longer idle the rest of the pool. A steal displaces
+//     the idle slot's resident model, so it only happens when it is
+//     worth the reload: the home slot's remaining busy time exceeds the
+//     task's observed reload cost, or waiting for home would miss the
+//     batch's deadline.
 //   * kWfq — weighted fair queueing across tenants, EDF within a
 //     tenant. Every shard keeps one EDF-ordered lane per tenant; at each
 //     dispatch the least-served active tenant (smallest virtual finish
@@ -40,9 +40,9 @@
 //     ahead.
 //
 // When a dispatch must displace a resident model (every eligible free
-// slot holds some other task's program), the victim is chosen by the
-// configured EvictionPolicy (LRU / LFU / cost-aware) instead of the old
-// last-program-wins accident; evictions are counted per slot.
+// slot holds some other task's program), the least recently dispatched
+// slot is the victim (ties go to the lower slot); evictions are counted
+// per slot and in "serve.eviction.victims".
 //
 // The scheduler also exposes its cost model (`service_estimate`,
 // `backlog_cycles`, `reload_estimate`) — the same observed-cycle
@@ -83,7 +83,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
-#include "serve/eviction.hpp"
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
 #include "serve/worker_pool.hpp"
@@ -95,7 +94,7 @@ namespace mann::serve {
 /// Dispatch-ordering policies (see the header comment).
 enum class SchedulerPolicy : std::uint8_t {
   kFifo,  ///< legacy head-of-line: strict submit order, no stealing
-  kEdf,   ///< earliest-deadline-first with optional work-stealing
+  kEdf,   ///< earliest-deadline-first with work-stealing
   kWfq,   ///< weighted fair queueing across tenants, EDF within a tenant
 };
 
@@ -128,16 +127,10 @@ struct SchedulerConfig {
   /// rejects beyond it).
   std::size_t queue_capacity = 1024;
   SchedulerPolicy policy = SchedulerPolicy::kEdf;
-  /// EDF/WFQ only: idle slots with an empty shard queue pull the most
-  /// urgent batch from other shards' queues. The FIFO policy never
-  /// steals (it reproduces the pre-EDF dispatcher exactly).
-  bool work_stealing = true;
   /// kWfq only: tenant_weights[t] is tenant t's fair share (> 0); its
   /// size fixes the per-shard tenant-lane count. Empty degrades kWfq to
   /// a single lane (i.e. plain EDF).
   std::vector<double> tenant_weights = {};
-  /// Victim selection when a dispatch must displace a resident model.
-  EvictionPolicyKind eviction = EvictionPolicyKind::kLru;
   /// Host worker threads simulating device batches ahead of the serving
   /// clock. 0 = sequential host execution (the debugging escape hatch);
   /// the natural setting is one worker per device slot.
@@ -151,9 +144,10 @@ struct SchedulerConfig {
   /// (workers need one as the speculation rendezvous).
   accel::ServiceCycleCache* cycle_cache = nullptr;
   /// Observability sinks (non-owning, both optional). `metrics` receives
-  /// "serve.scheduler.*" instruments and flows into the owned cache,
-  /// eviction policy and worker pool; `trace` receives per-request
-  /// service spans, device occupancy and worker speculation spans.
+  /// "serve.scheduler.*" and "serve.eviction.victims" instruments and
+  /// flows into the owned cache and worker pool; `trace` receives
+  /// per-request service spans, device occupancy and worker speculation
+  /// spans.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
 };
@@ -207,7 +201,7 @@ class Scheduler {
   /// Updates one tenant's WFQ weight (takes effect at the next dispatch;
   /// accumulated virtual finish time is preserved, so past service is
   /// not re-billed). No-op when the scheduler has no tenant lanes.
-  /// Throws std::invalid_argument for weight <= 0.
+  /// Throws std::invalid_argument unless weight is finite and > 0.
   void set_tenant_weight(TenantId tenant, double weight);
 
   /// Moves out every response whose completion time has been reached.
@@ -339,7 +333,8 @@ class Scheduler {
   };
   using PendingQueue = std::multiset<PendingBatch, PendingOrder>;
 
-  /// Per-task service-cycle observations feeding the cost-aware policy.
+  /// Per-task service-cycle observations (the stealing and admission
+  /// cost model).
   struct TaskCycleEstimate {
     sim::Cycle cold = 0;  ///< latest observed cold (upload-paying) run
     sim::Cycle warm = 0;  ///< latest observed warm run
@@ -381,7 +376,7 @@ class Scheduler {
   void step_fifo(sim::Cycle now);
   [[nodiscard]] Slot* pick_slot_fifo(std::size_t task, sim::Cycle now);
   /// EDF/WFQ slot choice for shard `queue`: home, then warm, then empty,
-  /// then the eviction policy's victim among `free_slots` (already
+  /// then the least recently dispatched of `free_slots` (already
   /// filtered to the shard's eligible set).
   [[nodiscard]] Slot* choose_slot_edf(const std::vector<Slot*>& free_slots,
                                       std::size_t queue, std::size_t task);
@@ -416,14 +411,12 @@ class Scheduler {
   sim::FifoStats device_queue_stats_;
   sim::OpCounts device_ops_;
   sim::Cycle link_active_cycles_ = 0;
-  std::vector<std::uint64_t> task_dispatches_;
   std::vector<TaskCycleEstimate> task_cycles_;
   /// Per-shard task of the most recently *submitted* batch — the
   /// affinity predictor's residency estimate (nullopt before the shard's
   /// first submit).
   std::vector<std::optional<std::size_t>> speculation_tail_;
   SpeculationStats speculation_;
-  std::unique_ptr<EvictionPolicy> eviction_;
   std::unique_ptr<accel::ServiceCycleCache> owned_cache_;
   accel::ServiceCycleCache* cache_ = nullptr;  ///< owned or external
   obs::TraceRecorder* trace_ = nullptr;        ///< non-owning, may be null
@@ -432,6 +425,7 @@ class Scheduler {
   obs::Counter* obs_model_uploads_ = nullptr;
   obs::Counter* obs_model_evictions_ = nullptr;
   obs::Counter* obs_stolen_batches_ = nullptr;
+  obs::Counter* obs_eviction_victims_ = nullptr;
   obs::Counter* obs_speculations_ = nullptr;
   obs::Histogram* obs_queue_wait_ = nullptr;  ///< enqueue→dispatch cycles
   /// Declared last: its destructor joins the workers while the devices

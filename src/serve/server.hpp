@@ -19,19 +19,18 @@
 //
 // Two ways to drive it:
 //
-//   * run(n) — the closed-loop one-shot: serve n generated requests to
-//     completion and report. Implemented as a thin composition over the
-//     incremental API below and bit-identical to the historical loop.
-//   * start()/submit()/step()/poll_completions()/drain()/finalize() —
-//     the incremental session API (serve/session.hpp): an outside driver
-//     (tools/mann_served, a test harness) feeds arrivals in, advances
-//     the clock in bounded steps, drains resolved requests as
-//     serve::Completion records, and reconfigures tenants/SLOs/policy
-//     mid-run.
+//   * Server::run(n) — the closed-loop one-shot: serve n generated
+//     requests to completion and report. Implemented as a thin
+//     composition over ServerSession and bit-identical to the
+//     historical loop.
+//   * serve::ServerSession (serve/session.hpp) — the incremental API:
+//     an outside driver (tools/mann_served, cluster::Cluster, a test
+//     harness) feeds arrivals in, advances the clock in bounded steps,
+//     drains resolved requests as serve::Completion records, and
+//     reconfigures tenants/SLOs/policy mid-run.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,12 +51,6 @@
 
 namespace mann::serve {
 
-class ServingOptions;  // serve/options.hpp — fluent ServerConfig builder
-class ServerSession;   // serve/session.hpp — the incremental session
-struct SessionOptions;
-struct SubmitRequest;
-struct SessionInfo;
-
 /// One deployable model: its compiled device program plus the corpus of
 /// encodable questions traffic is drawn from (non-owning).
 struct ServedModel {
@@ -75,15 +68,14 @@ struct ServerConfig {
   /// The default is transparent: nothing is shed except full queues.
   AdmissionConfig admission;
   BatcherConfig batcher;
-  /// Dispatch policy (EDF/FIFO/WFQ), work-stealing, eviction policy and
-  /// the host-parallel execution knobs. Under kWfq, empty tenant_weights
+  /// Dispatch policy (EDF/FIFO/WFQ), the device pool and the
+  /// host-parallel execution knobs. Under kWfq, empty tenant_weights
   /// are filled from the tenant registry.
   SchedulerConfig scheduler;
   /// Board power model folded into the report's serving-energy figures.
   power::FpgaPowerConfig power;
   /// Serving-level watchdog (independent of the per-batch accel watchdog).
   sim::Cycle watchdog_cycles = 20'000'000'000ULL;
-  std::size_t histogram_bins = 64;
   /// Observability sinks (non-owning, both optional; no-ops when the
   /// layer is compiled out). `metrics` receives every control-plane
   /// stage's instruments; `trace` receives per-request lifecycle spans
@@ -95,18 +87,9 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Preferred: build the config with the serve::ServingOptions fluent
-  /// builder (serve/options.hpp) and hand it over.
-  Server(const ServingOptions& options, std::vector<ServedModel> models);
-
-  /// Legacy shim: direct field-by-field ServerConfig construction.
-  /// Prefer the ServingOptions overload above — this one stays only so
-  /// existing call sites keep compiling unchanged.
+  /// Build `config` with the serve::ServingOptions fluent builder
+  /// (serve/options.hpp) or field by field.
   Server(ServerConfig config, std::vector<ServedModel> models);
-
-  ~Server();
-  Server(Server&&) noexcept;
-  Server& operator=(Server&&) noexcept;
 
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
@@ -114,53 +97,14 @@ class Server {
 
   /// Serves `total_requests` drawn from the traffic config to completion
   /// (every admitted request answered, queues drained) and reports. A
-  /// thin closed loop over the incremental API: it opens a private
+  /// thin closed loop over ServerSession: it opens a private
   /// auto-draining session, steps it to quiescence and finalizes —
   /// bit-identical to the historical single-call implementation.
   [[nodiscard]] ServingReport run(std::size_t total_requests) const;
 
-  // ---- incremental API ----
-  //
-  // One active session at a time, owned by the server; each method
-  // below delegates to it (std::logic_error when no session is active).
-  // For full control — several concurrent sessions, custom options
-  // wiring — construct serve::ServerSession directly; these wrappers are
-  // the convenient 90% path.
-
-  /// Opens the session. Throws std::logic_error if one is already
-  /// active (finalize() first).
-  ServerSession& start(const SessionOptions& options);
-  ServerSession& start();
-
-  /// Injects one request into the active session (see
-  /// SubmitRequest/ServerSession::submit for arrival/deadline rules).
-  RequestId submit(const SubmitRequest& request);
-
-  /// Advances the active session up to `cycles` simulated cycles
-  /// (0 = to quiescence); true when quiescent.
-  bool step(sim::Cycle cycles);
-
-  /// Drains the active session's resolved requests — completions and
-  /// sheds — as a deterministic (cycle, id)-sorted stream.
-  [[nodiscard]] std::vector<Completion> poll_completions();
-
-  /// Switches the active session to drain mode (sub-size batches flush
-  /// immediately; the end-of-stream signal).
-  void drain();
-
-  /// Runs the active session to quiescence, closes it and returns its
-  /// ServingReport. A new session may be start()ed afterwards.
-  [[nodiscard]] ServingReport finalize();
-
-  /// The active session, or nullptr outside start()..finalize().
-  [[nodiscard]] ServerSession* session() noexcept { return session_.get(); }
-
  private:
-  [[nodiscard]] ServerSession& active_session();
-
   ServerConfig config_;
   std::vector<ServedModel> models_;
-  std::unique_ptr<ServerSession> session_;
 };
 
 }  // namespace mann::serve

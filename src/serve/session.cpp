@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -259,8 +260,7 @@ ServerSession::ServerSession(ServerConfig config,
                std::max<std::size_t>(1, config_.traffic.tenants.size()),
                config_.metrics),
       scheduler_(config_.scheduler, make_devices(config_.accel, models)),
-      metrics_(config_.accel.clock_hz, config_.histogram_bins,
-               /*histogram_hi_cycles=*/50.0e6, config_.power),
+      metrics_(config_.accel.clock_hz, config_.power),
       cursors_(models.size(), 0),
       // Injected ids start after the generator's range so the merged
       // id space stays collision-free (and, in pure open loop, 0-based);
@@ -419,9 +419,9 @@ SessionInfo ServerSession::info() const {
 }
 
 void ServerSession::set_tenant(TenantId tenant, const TenantConfig& config) {
-  if (config.weight <= 0.0) {
+  if (!(config.weight > 0.0) || !std::isfinite(config.weight)) {
     throw std::invalid_argument(
-        "ServerSession: tenant weight must be > 0");
+        "ServerSession: tenant weight must be finite and > 0");
   }
   // The admission controller validates range and quota knobs and throws
   // before anything is mutated, keeping the update all-or-nothing.

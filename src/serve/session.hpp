@@ -48,7 +48,7 @@
 
 namespace mann::serve {
 
-/// Knobs of one incremental session (see Server::start()).
+/// Knobs of one incremental session (the ServerSession constructor).
 struct SessionOptions {
   /// Closed-loop requests drawn from config.traffic by the generator.
   /// 0 = pure open-loop: every request arrives via submit().
@@ -102,8 +102,7 @@ struct SessionInfo {
 
 class ServerSession {
  public:
-  /// `models` must outlive the session (Server owns them for sessions
-  /// created via Server::start()).
+  /// `models` must outlive the session.
   ServerSession(ServerConfig config, const std::vector<ServedModel>& models,
                 SessionOptions options = {});
   ~ServerSession();

@@ -56,5 +56,26 @@ TEST(Stats, PercentileEmptyThrows) {
   EXPECT_THROW((void)percentile({}, 50.0F), std::invalid_argument);
 }
 
+TEST(Stats, JainIndexNeedsTwoShares) {
+  EXPECT_EQ(jain_index({}), 1.0);
+  const std::vector<double> one = {7.0};
+  EXPECT_EQ(jain_index(one), 1.0);
+}
+
+TEST(Stats, JainIndexAllZerosIsFair) {
+  const std::vector<double> zeros = {0.0, 0.0, 0.0};
+  EXPECT_EQ(jain_index(zeros), 1.0);
+}
+
+TEST(Stats, JainIndexEqualSharesIsOne) {
+  const std::vector<double> equal = {3.0, 3.0, 3.0, 3.0};
+  EXPECT_DOUBLE_EQ(jain_index(equal), 1.0);
+}
+
+TEST(Stats, JainIndexMonopolistIsOneOverN) {
+  const std::vector<double> monopoly = {0.0, 12.0, 0.0, 0.0};
+  EXPECT_DOUBLE_EQ(jain_index(monopoly), 0.25);
+}
+
 }  // namespace
 }  // namespace mann::numeric

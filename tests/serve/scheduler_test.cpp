@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "obs/metrics.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -291,8 +292,7 @@ TEST(Scheduler, WorkStealingDrainsOverloadedShard) {
   // steal-worthwhile gate.
   Scheduler scheduler({.devices = 2,
                        .dedicated_devices = 2,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = true},
+                       .policy = SchedulerPolicy::kEdf},
                       task_devices(1));
   ASSERT_TRUE(scheduler.submit(deadline_batch(0, stories, 2, 0, 1'000, 0)));
   ASSERT_TRUE(scheduler.submit(deadline_batch(0, stories, 2, 0, 2'000, 2)));
@@ -308,10 +308,10 @@ TEST(Scheduler, WorkStealingDrainsOverloadedShard) {
 
 TEST(Scheduler, StealingOffLeavesForeignShardsIdle) {
   const auto stories = tiny_stories(4);
+  // kFifo is the one policy that never steals.
   Scheduler scheduler({.devices = 2,
                        .dedicated_devices = 2,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = false},
+                       .policy = SchedulerPolicy::kFifo},
                       task_devices(1));
   ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 2, 0, 0)));
   ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 2, 0, 2)));
@@ -319,6 +319,7 @@ TEST(Scheduler, StealingOffLeavesForeignShardsIdle) {
   // Without stealing the second batch waits for slot 0 to free.
   EXPECT_EQ(scheduler.pending_batches(), 1U);
   EXPECT_EQ(scheduler.device_reports()[1].batches, 0U);
+  EXPECT_EQ(scheduler.total_stolen_batches(), 0U);
 }
 
 TEST(Scheduler, StealingNeverLosesOrDuplicatesBatches) {
@@ -328,8 +329,7 @@ TEST(Scheduler, StealingNeverLosesOrDuplicatesBatches) {
   Scheduler scheduler({.devices = 4,
                        .dedicated_devices = 4,
                        .queue_capacity = 128,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = true},
+                       .policy = SchedulerPolicy::kEdf},
                       task_devices(2));
   const std::size_t batches = 24;
   for (std::size_t b = 0; b < batches; ++b) {
@@ -367,9 +367,10 @@ TEST(Scheduler, LruEvictionDisplacesColdestResident) {
   const auto stories = tiny_stories(2);
   // Shared two-slot pool, three tasks: warm up task 0 on slot 0 and
   // task 1 on slot 1, re-touch task 0, then force task 2 to evict.
+  obs::MetricsRegistry registry;
   Scheduler scheduler({.devices = 2,
                        .policy = SchedulerPolicy::kEdf,
-                       .eviction = EvictionPolicyKind::kLru},
+                       .metrics = &registry},
                       task_devices(3));
   ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 1, 0, 0)));
   scheduler.step(0);
@@ -398,6 +399,34 @@ TEST(Scheduler, LruEvictionDisplacesColdestResident) {
   EXPECT_EQ(reports[0].model_evictions, 0U);
   EXPECT_EQ(reports[1].model_evictions, 1U);
   EXPECT_EQ(scheduler.total_model_evictions(), 1U);
+  EXPECT_EQ(registry.counter("serve.eviction.victims").value(),
+            obs::kEnabled ? 1U : 0U);
+}
+
+TEST(Scheduler, LruTieFallsToLowestSlot) {
+  const auto stories = tiny_stories(2);
+  // Tasks 0 and 1 land on the empty slots 0 and 1 in the same step, so
+  // both residents share one last-dispatch cycle; task 2 must then
+  // displace the lower slot.
+  Scheduler scheduler({.devices = 2, .policy = SchedulerPolicy::kEdf},
+                      task_devices(3));
+  ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 1, 0, 0)));
+  ASSERT_TRUE(scheduler.submit(make_batch(1, stories, 1, 0, 1)));
+  scheduler.step(0);
+  (void)scheduler.collect(sim::kNever - 1);
+  ASSERT_EQ(scheduler.device_reports()[0].resident_task, 0U);
+  ASSERT_EQ(scheduler.device_reports()[1].resident_task, 1U);
+
+  const sim::Cycle later = 1'000'000;
+  ASSERT_TRUE(scheduler.submit(make_batch(2, stories, 1, later, 2)));
+  scheduler.step(later);
+  (void)scheduler.collect(sim::kNever - 1);
+
+  const auto reports = scheduler.device_reports();
+  EXPECT_EQ(reports[0].resident_task, 2U);
+  EXPECT_EQ(reports[1].resident_task, 1U);
+  EXPECT_EQ(reports[0].model_evictions, 1U);
+  EXPECT_EQ(reports[1].model_evictions, 0U);
 }
 
 TEST(Scheduler, DeterministicAcrossPoliciesForPredictions) {

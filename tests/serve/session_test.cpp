@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -281,36 +282,67 @@ TEST(ServerSession, ValidatesSubmissionsAndLifecycle) {
   EXPECT_THROW((void)session.finalize(), std::logic_error);
 }
 
+TEST(ServerSession, RejectsNonFiniteTenantContracts) {
+  const auto stories = tiny_stories(4);
+  const auto models = two_models(stories);
+  ServerConfig config = session_config();
+  config.scheduler.policy = SchedulerPolicy::kWfq;
+  ServerSession session(config, models);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double weight : {nan, inf, -inf, 0.0}) {
+    TenantConfig tenant;
+    tenant.weight = weight;
+    EXPECT_THROW(session.set_tenant(0, tenant), std::invalid_argument)
+        << "weight " << weight;
+  }
+  for (const double interarrival : {nan, inf, -1.0}) {
+    TenantConfig tenant;
+    tenant.quota_interarrival_cycles = interarrival;
+    EXPECT_THROW(session.set_tenant(0, tenant), std::invalid_argument)
+        << "quota_interarrival " << interarrival;
+  }
+  TenantConfig nan_burst;
+  nan_burst.quota_interarrival_cycles = 1'000.0;
+  nan_burst.quota_burst = nan;
+  EXPECT_THROW(session.set_tenant(0, nan_burst), std::invalid_argument);
+
+  // Every rejected update left tenant 0's contract untouched.
+  (void)session.submit(SubmitRequest{});
+  const ServingReport report = session.finalize();
+  ASSERT_EQ(report.tenants.size(), 3U);
+  EXPECT_DOUBLE_EQ(report.tenants[0].weight, 1.0);
+
+  // A NaN weight in the construction-time registry is refused too.
+  ServerConfig bad = session_config();
+  bad.scheduler.policy = SchedulerPolicy::kWfq;
+  bad.traffic.tenants[2].weight = nan;
+  EXPECT_THROW(ServerSession(bad, models), std::invalid_argument);
+}
+
 TEST(Server, StartSubmitFinalizeMatchesRun) {
   const auto stories = tiny_stories(8);
+  const auto models = two_models(stories);
   const auto trace = fixed_trace();
-  const ServingReport closed =
-      closed_loop_report(trace, two_models(stories));
+  ServerConfig config = session_config();
+  config.traffic.process = ArrivalProcess::kTrace;
+  config.traffic.trace = trace;
+  const Server server(config, models);
+  const ServingReport closed = server.run(trace.size());
 
-  // The same composition through the Server facade (which owns the
-  // models and the session).
-  Server server(session_config(), two_models(stories));
-  ServerSession& session = server.start();
-  EXPECT_EQ(server.session(), &session);
-  EXPECT_THROW((void)server.start(), std::logic_error);
+  // A session started on the same models, fed the same schedule all at
+  // once and finalized, reports what run() reported.
+  ServerSession session(session_config(), models);
   for (const TraceEntry& entry : trace) {
     SubmitRequest request{entry.task, entry.tenant, entry.arrival_cycle, 0};
-    (void)server.submit(request);
+    (void)session.submit(request);
   }
-  server.drain();
-  const ServingReport open = server.finalize();
-  EXPECT_EQ(server.session(), nullptr);
-  expect_reports_equal(closed, open);
+  session.drain();
+  expect_reports_equal(closed, session.finalize());
 
-  // The server is reusable after finalize — and run() still works.
-  const ServingReport again = [&] {
-    ServerConfig config = session_config();
-    config.traffic.process = ArrivalProcess::kTrace;
-    config.traffic.trace = trace;
-    const Server rerun(config, two_models(stories));
-    return rerun.run(trace.size());
-  }();
-  expect_reports_equal(closed, again);
+  // run() is const and repeatable after any number of sessions.
+  expect_reports_equal(closed, server.run(trace.size()));
 }
 
 TEST(ServerSession, MixedGeneratedAndSubmittedTraffic) {

@@ -113,6 +113,46 @@ TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
   EXPECT_NE(transcript.find("offered=1"), std::string::npos);
 }
 
+TEST(ServedDaemon, NonFiniteTenantContractGetsErr) {
+  // NaN fails every `<= 0` check, so it must be rejected explicitly or it
+  // would reach the WFQ virtual-time comparisons.
+  const std::string transcript = run_daemon(
+      "--tiny 2 --tenants 3",
+      "config tenant 0 0 nan nan 1 0\n"
+      "config tenant 0 0 1 nan 1 0\n"
+      "config tenant 0 0 inf 0 8 0\n"
+      "config tenant 0 0 2 0 8 0\n"
+      "submit 0\n"
+      "quit\n",
+      "nonfinite");
+  EXPECT_EQ(count_lines_with(transcript, "err "), 3U);
+  EXPECT_EQ(count_lines_with(transcript, "ok config tenant 0"), 1U);
+  EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U);
+  EXPECT_EQ(count_lines_with(transcript, "bye "), 1U);
+  EXPECT_NE(transcript.find("completed=1"), std::string::npos);
+}
+
+TEST(ServedDaemon, NegativeCountsGetErrAndTheDaemonSurvives) {
+  // strtoull would read "-1" as 2^64 - 1 cycles.
+  for (const char* flags : {"--tiny 2", "--tiny 2 --cluster 2"}) {
+    const std::string transcript = run_daemon(
+        flags,
+        "submit 0 0 -1\n"
+        "submit -1\n"
+        "step -1\n"
+        "submit 0 0 0 -5\n"
+        "submit 0\n"
+        "step 10\n"
+        "quit\n",
+        "negative");
+    EXPECT_EQ(count_lines_with(transcript, "err "), 4U) << flags;
+    EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U) << flags;
+    EXPECT_EQ(count_lines_with(transcript, "ok step"), 1U) << flags;
+    EXPECT_EQ(count_lines_with(transcript, "bye "), 1U) << flags;
+    EXPECT_NE(transcript.find("offered=1"), std::string::npos) << flags;
+  }
+}
+
 TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {
   // Lockstep holds the clock at the last arrival, so the config
   // commands land while earlier submissions are still queued/in

@@ -689,10 +689,11 @@ class Manager {
 
   static std::uint64_t parse_count(const std::string& token,
                                    const char* what) {
+    // strtoull negates a leading '-' into a huge count, so reject it.
     char* end = nullptr;
     const unsigned long long parsed =
         std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
+    if (end == token.c_str() || *end != '\0' || token.front() == '-') {
       fail(std::string(what) + " needs a non-negative integer, got '" +
            token + "'");
     }
