@@ -5,14 +5,19 @@ Reads an arrival trace (the v1/v2 CSV format of serve::load_trace_csv),
 turns every row into a `submit <task> <tenant> 0 <arrival_cycle>` line,
 and pipes the whole schedule — followed by `drain` and `quit` — into a
 freshly spawned daemon. Run with --lockstep on the daemon side, the
-replay reproduces the closed-loop timeline exactly: CI diffs the
+daemon steps its fleet to each arrival before routing it, exactly as
+the closed loop (Cluster::run) does, so the replay reproduces the
+closed-loop timeline for any --cluster N and --router: CI diffs the
 daemon's --report-json against the --closed-loop report of the same
-trace and hard-fails on any byte difference.
+trace, on one instance and on a 4-instance p2c fleet, and hard-fails
+on any byte difference.
 
 usage: served_client.py TRACE.csv -- mann_served [daemon flags...]
 
-The daemon's stdout streams through unchanged (ready/ok/done/shed/bye),
-so the transcript itself is also byte-stable at a fixed trace.
+The daemon's stdout streams through unchanged (ready/ok/done/shed/bye,
+each reply and stream line tagged with its instance), so the
+transcript itself is also byte-stable at a fixed trace and identical
+at any --fleet-threads.
 """
 import subprocess
 import sys

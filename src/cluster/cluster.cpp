@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cluster/fleet_pool.hpp"
@@ -211,12 +212,20 @@ void Cluster::apply_target_active(std::size_t target, sim::Cycle cycle) {
   }
 }
 
-Cluster::Submission Cluster::submit(const serve::SubmitRequest& request) {
+sim::Cycle Cluster::validate(const serve::SubmitRequest& request) const {
   if (finalized_) {
     throw std::logic_error("Cluster: submit after finalize()");
   }
-  const sim::Cycle at =
-      std::max({request.at_cycle, clock_, last_arrival_});
+  // Every instance shares the registries and the watchdog origin (the
+  // fleet's first step_until steps them all), so one instance's check
+  // speaks for the fleet.
+  serve::SubmitRequest clamped = request;
+  clamped.at_cycle = std::max({request.at_cycle, clock_, last_arrival_});
+  return instances_.front()->session->validate(clamped);
+}
+
+Cluster::Submission Cluster::submit(const serve::SubmitRequest& request) {
+  const sim::Cycle at = validate(request);
   if (const auto target = autoscaler_.observe(at, active_instances())) {
     apply_target_active(*target, at);
   }
@@ -252,6 +261,14 @@ Cluster::Submission Cluster::submit(const serve::SubmitRequest& request) {
 }
 
 bool Cluster::step_until(sim::Cycle limit) {
+  // The fleet clock moves to a finite horizon even when every instance
+  // idles, and a clock at the watchdog could only throw from then on.
+  // Every instance shares the watchdog origin (see validate()).
+  if (limit != sim::kNever &&
+      instances_.front()->session->past_watchdog(limit)) {
+    throw std::out_of_range("Cluster: step horizon " + std::to_string(limit) +
+                            " at or past the serving watchdog");
+  }
   const std::size_t n = instances_.size();
   bool quiescent = true;
   sim::Cycle reached = limit;

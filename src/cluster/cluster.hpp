@@ -157,7 +157,15 @@ class Cluster {
     std::optional<InstanceId> instance;
     serve::RequestId id = 0;
   };
+  /// Throws what validate() throws before it counts, observes or routes
+  /// the request, so a refused submission leaves the fleet untouched.
   Submission submit(const serve::SubmitRequest& request);
+
+  /// submit()'s checks without its effects — serve::ServerSession's
+  /// validate() on the fleet-clamped arrival. Returns the arrival cycle
+  /// submit() would route at, which is the horizon a lockstep driver
+  /// steps the fleet to before it submits (as run() does).
+  [[nodiscard]] sim::Cycle validate(const serve::SubmitRequest& request) const;
 
   /// Closed-loop drive, the Server::run() of the fleet: draws
   /// `total_requests` from the traffic config, routes each arrival with
@@ -167,7 +175,8 @@ class Cluster {
 
   /// Advances every instance to the exclusive cycle horizon `limit`
   /// (lockstep; sim::kNever = fleet quiescence). Returns true when every
-  /// instance is quiescent.
+  /// instance is quiescent. Throws std::out_of_range, moving nothing,
+  /// for a finite `limit` at or past the serving watchdog.
   bool step_until(sim::Cycle limit);
 
   /// Sticky end-of-stream: sub-size batches flush immediately fleet-wide.

@@ -164,7 +164,7 @@ std::optional<InferenceRequest> TrafficGenerator::poll(sim::Cycle now) {
   request.enqueue_cycle = next_cycle_;
   const sim::Cycle slo = deadline_for(workload.task, tenant);
   request.deadline_cycle =
-      slo == sim::kNever ? sim::kNever : next_cycle_ + slo;
+      slo >= sim::kNever - next_cycle_ ? sim::kNever : next_cycle_ + slo;
   cursor = (cursor + 1) % workload.stories.size();
   ++emitted_;
   if (!exhausted()) {

@@ -309,7 +309,7 @@ sim::Cycle ServerSession::deadline_for(std::size_t task,
   return slo_.deadline_for(task);
 }
 
-RequestId ServerSession::submit(const SubmitRequest& request) {
+sim::Cycle ServerSession::validate(const SubmitRequest& request) const {
   if (finalized_) {
     throw std::logic_error("ServerSession: submit after finalize()");
   }
@@ -326,6 +326,25 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
                             std::to_string(num_tenants()) +
                             "-entry registry");
   }
+  const sim::Cycle at =
+      std::max({request.at_cycle, simulator_.now(), last_arrival_});
+  if (past_watchdog(at)) {
+    throw std::out_of_range("ServerSession: arrival cycle " +
+                            std::to_string(at) +
+                            " at or past the serving watchdog");
+  }
+  return at;
+}
+
+bool ServerSession::past_watchdog(sim::Cycle cycle) const noexcept {
+  // The first step pins the watchdog's origin at the clock it finds.
+  return sim::Simulator::past_watchdog(
+      cycle, watchdog_start_.value_or(simulator_.now()),
+      config_.watchdog_cycles);
+}
+
+RequestId ServerSession::submit(const SubmitRequest& request) {
+  const sim::Cycle at = validate(request);
   InferenceRequest arrival;
   arrival.id = next_injected_id_++;
   arrival.task = request.task;
@@ -334,18 +353,15 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
   std::size_t& cursor = cursors_[request.task];
   arrival.story = &workload.stories[cursor];
   cursor = (cursor + 1) % workload.stories.size();
-  const sim::Cycle at =
-      std::max({request.at_cycle, simulator_.now(), last_arrival_});
   last_arrival_ = at;
   arrival.enqueue_cycle = at;
-  if (request.deadline_cycles == sim::kNever) {
-    arrival.deadline_cycle = sim::kNever;
-  } else if (request.deadline_cycles != 0) {
-    arrival.deadline_cycle = at + request.deadline_cycles;
-  } else {
-    const sim::Cycle slo = deadline_for(request.task, request.tenant);
-    arrival.deadline_cycle = slo == sim::kNever ? sim::kNever : at + slo;
-  }
+  // An explicit budget, else the SLO table's; sim::kNever (or any budget
+  // that would wrap past it) means no deadline.
+  const sim::Cycle budget = request.deadline_cycles != 0
+                                ? request.deadline_cycles
+                                : deadline_for(request.task, request.tenant);
+  arrival.deadline_cycle =
+      budget >= sim::kNever - at ? sim::kNever : at + budget;
   injected_.push_back(arrival);
   ++injected_emitted_;
   return arrival.id;

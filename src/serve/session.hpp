@@ -111,10 +111,22 @@ class ServerSession {
   ServerSession& operator=(const ServerSession&) = delete;
 
   /// Injects one request; returns its id (submission order, starting
-  /// after the closed-loop generator's id range). Throws
-  /// std::out_of_range for an unknown task/tenant and std::logic_error
-  /// after finalize().
+  /// after the closed-loop generator's id range). Throws what validate()
+  /// throws, before any state changes.
   RequestId submit(const SubmitRequest& request);
+
+  /// The checks submit() makes, without its effects: std::logic_error
+  /// after finalize(); std::out_of_range for an unknown task or tenant,
+  /// or for an arrival at or past the serving watchdog (counted from the
+  /// first step, so stepping there could only throw). Returns the
+  /// clamped arrival cycle submit() would stamp. A routing tier calls it
+  /// before it commits a routing decision.
+  [[nodiscard]] sim::Cycle validate(const SubmitRequest& request) const;
+
+  /// True when the clock at `cycle` would be at or past the serving
+  /// watchdog (sim::Simulator::past_watchdog, counted from the first
+  /// step), where stepping could only throw.
+  [[nodiscard]] bool past_watchdog(sim::Cycle cycle) const noexcept;
 
   /// Advances the serving loop up to `cycles` simulated cycles from the
   /// current clock (0 = to quiescence). Returns true when the session is

@@ -12,7 +12,7 @@ Cycle Simulator::run_until(const std::function<bool()>& done,
                            Cycle max_cycles) {
   const Cycle start = now_;
   while (!done()) {
-    if (now_ - start >= max_cycles) {
+    if (past_watchdog(now_, start, max_cycles)) {
       throw std::runtime_error(
           "Simulator: watchdog expired — dataflow deadlock or runaway");
     }
@@ -36,7 +36,7 @@ bool Simulator::run_events_until(const std::function<bool()>& done,
                                  Cycle max_cycles) {
   const Cycle start = watchdog_start;
   while (!done()) {
-    if (now_ - start >= max_cycles) {
+    if (past_watchdog(now_, start, max_cycles)) {
       throw std::runtime_error(
           "Simulator: watchdog expired — dataflow deadlock or runaway");
     }
@@ -69,7 +69,7 @@ bool Simulator::run_events_until(const std::function<bool()>& done,
         m->skip(jump);
       }
       now_ += jump;
-      if (now_ - start >= max_cycles) {
+      if (past_watchdog(now_, start, max_cycles)) {
         throw std::runtime_error(
             "Simulator: watchdog expired — all modules idle forever");
       }

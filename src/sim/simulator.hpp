@@ -43,6 +43,13 @@ class Simulator {
   bool run_events_until(const std::function<bool()>& done, Cycle limit,
                         Cycle watchdog_start, Cycle max_cycles);
 
+  /// The watchdog rule: true once `at` lies `max_cycles` or more past
+  /// `start`. A clock that has reached such a cycle can only throw.
+  [[nodiscard]] static constexpr bool past_watchdog(Cycle at, Cycle start,
+                                                    Cycle max_cycles) noexcept {
+    return at >= start && at - start >= max_cycles;
+  }
+
   /// Cheap timing fast-forward: advances the clock by `cycles` without
   /// ticking any module. It is the replay hook for consumers that already
   /// know a stretch's exact cycle count from a previous simulation (the

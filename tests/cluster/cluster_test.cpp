@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -298,6 +299,63 @@ TEST(Cluster, MergedStreamIsSortedOverDisjointIdRanges) {
   const ClusterReport report = cluster.finalize();
   EXPECT_EQ(report.offered, kRequests);
   EXPECT_EQ(report.completed + report.rejected, kRequests);
+}
+
+TEST(Cluster, RefusedSubmitLeavesTheFleetUntouched) {
+  const auto stories = tiny_stories(8);
+  const auto models = two_models(stories);
+
+  // The same p2c schedule twice; the second run interleaves submissions
+  // every instance would refuse. Each must throw before the fleet counts,
+  // observes or routes it — p2c draws its RNG per routed request, so a
+  // refused one that got as far as the router shifts all later routing.
+  const auto run = [&](bool with_refused) {
+    Cluster cluster(cluster_config(3, {}, RouterPolicyKind::kPowerOfTwo),
+                    models);
+    constexpr std::size_t kRequests = 30;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      serve::SubmitRequest request;
+      request.task = i % 2;
+      request.tenant = static_cast<serve::TenantId>(i % 3);
+      request.at_cycle = 1'000 + static_cast<sim::Cycle>(i) * 1'500;
+      if (with_refused && i % 5 == 2) {
+        serve::SubmitRequest unknown_task = request;
+        unknown_task.task = 99;
+        EXPECT_THROW((void)cluster.submit(unknown_task), std::out_of_range);
+        serve::SubmitRequest unknown_tenant = request;
+        unknown_tenant.tenant = 7;
+        EXPECT_THROW((void)cluster.submit(unknown_tenant),
+                     std::out_of_range);
+        serve::SubmitRequest past_watchdog = request;
+        past_watchdog.at_cycle = 21'000'000'000ULL;
+        EXPECT_THROW((void)cluster.submit(past_watchdog), std::out_of_range);
+      }
+      (void)cluster.step_until(request.at_cycle);
+      (void)cluster.submit(request);
+    }
+    return cluster.finalize();
+  };
+
+  const ClusterReport clean = run(false);
+  const ClusterReport refused = run(true);
+  EXPECT_EQ(refused.offered, 30u);
+  EXPECT_TRUE(simulated_cluster_reports_identical(clean, refused));
+}
+
+TEST(Cluster, StepPastTheWatchdogThrowsAndMovesNothing) {
+  const auto stories = tiny_stories(8);
+  const auto models = two_models(stories);
+  Cluster cluster(cluster_config(2, {}, RouterPolicyKind::kPowerOfTwo),
+                  models);
+  // An idle fleet's clock still moves to a finite horizon, so one at the
+  // watchdog would leave every later submission refused.
+  EXPECT_THROW((void)cluster.step_until(20'000'000'000ULL), std::out_of_range);
+  EXPECT_EQ(cluster.now(), 0u);
+  serve::SubmitRequest request;
+  request.at_cycle = 1'000;
+  (void)cluster.step_until(request.at_cycle);
+  EXPECT_TRUE(cluster.submit(request).instance.has_value());
+  EXPECT_EQ(cluster.finalize().completed, 1u);
 }
 
 TEST(Cluster, AutoscaledFleetBeatsFixedOnFleetEnergy) {

@@ -1,66 +1,69 @@
-// mann_served: a long-running serving daemon over the incremental
-// ServerSession API (serve/session.hpp).
+// mann_served: a long-running serving daemon over a cluster::Cluster of
+// incremental ServerSession instances (cluster/cluster.hpp).
 //
 // Where mann_cli and the benches run one closed loop and exit, this tool
-// keeps a serving session open and speaks a line protocol on stdin — the
+// keeps a serving fleet open and speaks a line protocol on stdin — the
 // MAGPIE ucgi.c shape: a scan loop accepting commands while a manager
 // thread owns the engine. Here the scan loop (main thread) reads and
 // enqueues command lines; the manager thread is the sole owner of the
-// ServerSession and the sole stdout writer, so replies and streamed
+// Cluster and the sole stdout writer, so replies and streamed
 // per-request lines never interleave mid-line.
 //
 // Protocol (one command per line; every command answers `ok ...` or
-// `err ...`, and resolved requests stream as `done`/`shed` lines):
+// `err ...`, and resolved requests stream as `done`/`shed` lines that
+// name the serving instance):
 //
 //   submit <task> [tenant] [deadline] [at]   inject one request.
 //                        deadline: relative cycles (0 = SLO default);
-//                        at: absolute arrival cycle (0 = session clock;
-//                        clamped monotone). -> ok id=<id> at=<cycle>
-//   info                 one status line (also emitted every
-//                        --info-every N resolved requests)
+//                        at: absolute arrival cycle (0 = fleet clock;
+//                        clamped monotone; at or past the serving
+//                        watchdog is refused).
+//                        -> ok id=<id> instance=<i> at=<cycle>, or
+//                        ok shed=router when the router refuses it
+//   info                 one fleet line plus an info[i] line per instance
+//                        (also emitted every --info-every N resolved
+//                        requests)
 //   config tenant <id> <tier> <weight> <quota_interarrival>
 //                 <quota_burst> <slo>        live-replace one tenant's
 //                        contract (admission + WFQ weight + SLO stamp)
 //   config slo <default> [per-task...]       live-replace the SLO table
 //   config policy fifo|edf|wfq               live-switch dispatch policy
-//                        (wfq needs a session started with --policy wfq,
-//                        which is the default for --tenants >= 2)
+//                        (wfq needs a fleet started with --policy wfq,
+//                        which is the default for --tenants >= 2); every
+//                        config verb fans out to all instances
 //   trace on|off         gate lifecycle trace recording (--trace-json)
-//   step [cycles]        advance explicitly (default: to quiescence)
+//   step [cycles]        advance explicitly (default: to quiescence;
+//                        a horizon at or past the watchdog is refused)
 //   drain                end-of-stream: flush sub-size batches from now
 //                        on and stop holding the lockstep horizon
 //   quit                 finalize, report, exit (EOF behaves like quit)
 //
+// Fleet: --cluster N lockstep instances (default 1) behind --router
+// (affinity = consistent-hash task affinity, p2c = power-of-two-choices,
+// spill = tenant home + spill set; default p2c). A cluster of one
+// reproduces the bare server's simulated timeline exactly (the CI
+// identity gate). --fleet-threads N advances the instances on N host
+// threads between routing barriers; every line the daemon emits is
+// bit-identical for any N (wall clock only).
+//
 // Clocking: by default each command is followed by an advance to
 // quiescence (submitted work completes immediately — interactive, but
-// batches rarely fill). Under --lockstep the manager never advances past
-// the last submitted arrival cycle (exclusive), so a driver that submits
-// a recorded schedule gets the exact closed-loop timeline: batching,
-// admission and dispatch all see the same state at the same cycles, and
-// the final report is bit-identical to Server::run() over the same
-// trace. `drain` lifts the horizon. The CI replay-equivalence leg pipes
-// bench/traces/sample_diurnal.csv through scripts/served_client.py in
-// this mode and diffs the report against --closed-loop below.
+// batches rarely fill). Under --lockstep the manager steps the fleet to
+// each arrival before routing it and never advances past the last
+// submitted arrival (exclusive) — Cluster::run()'s order — so a driver
+// that submits a recorded schedule gets the exact closed-loop timeline:
+// routing, batching, admission and dispatch all see the same state at
+// the same cycles, and the final report is bit-identical to
+// --closed-loop over the same trace. `drain` lifts the horizon. The CI
+// replay-equivalence legs pipe bench/traces/sample_diurnal.csv through
+// scripts/served_client.py in this mode and diff the report against
+// --closed-loop below.
 //
-// One-shot modes (no daemon):
-//   --closed-loop FILE   serve the trace CSV via Server::run() and write
+// One-shot mode (no daemon):
+//   --closed-loop FILE   serve the trace CSV via Cluster::run() and write
 //                        the same deterministic report JSON the daemon
-//                        writes — the comparison baseline.
-//
-// Cluster mode (--cluster N): the manager owns a cluster::Cluster of N
-// lockstep instances instead of one ServerSession. The protocol is
-// unchanged; `submit` replies gain `instance=<i>` (or `shed=router` when
-// the router refuses), `done`/`shed` stream lines carry the serving
-// instance, `info` prints one fleet line plus a line per instance, and
-// `config` fans out fleet-wide. --router picks the routing policy
-// (affinity = consistent-hash task affinity, p2c = power-of-two-choices,
-// spill = tenant home + spill set; default p2c). --closed-loop composes:
-// the trace is served by Cluster::run() and the report JSON switches to
-// the fleet schema. A --cluster 1 closed loop reproduces the bare
-// server's simulated timeline exactly (the CI identity gate).
-// --fleet-threads N advances the instances on N host threads between
-// routing barriers; every line the daemon emits is bit-identical for
-// any N (wall clock only).
+//                        writes (write_report_json) — the comparison
+//                        baseline.
 //
 // Workload: --tiny N serves N synthetic untrained tasks (shape-only cost
 // model; instant startup, used by the pipe-driven tests); --tasks K
@@ -68,6 +71,7 @@
 // (--train-fallback to train stand-ins inline when the cache is absent).
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -76,6 +80,7 @@
 #include <deque>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -93,7 +98,6 @@
 #include "obs/trace.hpp"
 #include "runtime/measurement.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
 
@@ -111,7 +115,7 @@ struct DaemonOptions {
   std::size_t dedicated = 0;
   std::size_t max_batch = 8;
   std::optional<serve::SchedulerPolicy> policy;  ///< default: see below
-  std::size_t cluster = 0;  ///< fleet size (0 = single bare session)
+  std::size_t cluster = 1;  ///< fleet size (instances behind the router)
   /// Host threads advancing the fleet between routing barriers (0/1 =
   /// sequential). Wall-clock only — every simulated line is
   /// thread-invariant.
@@ -132,7 +136,7 @@ struct DaemonOptions {
       "                   [--tenants N] [--slo CYCLES] [--devices N]\n"
       "                   [--dedicated N] [--max-batch B]\n"
       "                   [--policy fifo|edf|wfq] [--lockstep]\n"
-      "                   [--cluster N] [--fleet-threads N]\n"
+      "                   [--cluster N (default 1)] [--fleet-threads N]\n"
       "                   [--router affinity|p2c|spill]\n"
       "                   [--info-every N] [--report-json PATH]\n"
       "                   [--trace-json PATH] [--seed S]\n"
@@ -194,6 +198,10 @@ DaemonOptions parse_args(int argc, char** argv) {
       }
     } else if (arg == "--cluster") {
       opts.cluster = count(next());
+      if (opts.cluster == 0) {
+        std::fprintf(stderr, "--cluster needs at least one instance\n");
+        usage(2);
+      }
     } else if (arg == "--fleet-threads") {
       opts.fleet_threads = count(next());
     } else if (arg == "--router") {
@@ -307,9 +315,13 @@ Workload suite_workload(const DaemonOptions& opts) {
 
 // ---------------------------------------------------------------- config
 
-serve::ServerConfig make_config(const DaemonOptions& opts,
-                                obs::MetricsRegistry* metrics,
-                                obs::TraceRecorder* trace) {
+/// The fleet from the daemon knobs: each instance gets the full
+/// per-instance stack; the router rides on top. The daemon never
+/// autoscales — parking decisions belong to recorded schedules with a
+/// known span (the bench), not an open stdin stream.
+cluster::ClusterConfig make_config(const DaemonOptions& opts,
+                                   obs::MetricsRegistry* metrics,
+                                   obs::TraceRecorder* trace) {
   std::vector<serve::TenantConfig> registry(opts.tenants);
   serve::SloConfig slo;
   slo.default_deadline_cycles = opts.slo == 0 ? sim::kNever : opts.slo;
@@ -326,59 +338,60 @@ serve::ServerConfig make_config(const DaemonOptions& opts,
   batcher.max_batch = opts.max_batch;
   serve::TrafficConfig traffic;
   traffic.seed = opts.seed;
-  return serve::ServingOptions()
-      .traffic(traffic)
-      .batcher(batcher)
-      .scheduler(scheduler)
-      .tenants(std::move(registry))
-      .slo(slo)
-      .metrics(metrics)
-      .trace_recorder(trace)
-      .build();
+  cluster::ClusterConfig config;
+  config.instances = opts.cluster;
+  config.server = serve::ServingOptions()
+                      .traffic(traffic)
+                      .batcher(batcher)
+                      .scheduler(scheduler)
+                      .tenants(std::move(registry))
+                      .slo(slo)
+                      .metrics(metrics)
+                      .trace_recorder(trace)
+                      .build();
+  config.router.kind = opts.router;
+  config.router.seed = opts.seed;
+  config.fleet_threads = opts.fleet_threads;
+  return config;
 }
 
 // ---------------------------------------------------------------- report
 
-/// The deterministic slice of a ServingReport, as stable JSON: every
-/// field here is a pure function of the simulated timeline, so two runs
-/// that serve the same schedule must produce byte-identical files — the
-/// CI replay-equivalence gate diffs them directly. Host-dependent fields
+/// One latency/queue-wait summary as a JSON object member.
+void write_summary(std::FILE* f, const char* in, const char* name,
+                   const serve::LatencySummary& s) {
+  std::fprintf(f, "%s\"%s\": {\"mean\": %.3f, \"p50\": %.3f, \"p95\": %.3f, "
+               "\"p99\": %.3f, \"max\": %.3f},\n", in, name, s.mean_cycles,
+               s.p50_cycles, s.p95_cycles, s.p99_cycles, s.max_cycles);
+}
+
+/// The deterministic slice of one instance's ServingReport, as JSON
+/// object members one per line, each indented by `in`. Every field
+/// is a pure function of the simulated timeline, so two runs that serve
+/// the same schedule produce byte-identical files — the CI
+/// replay-equivalence gate diffs them directly. Host-dependent fields
 /// (wall clock, worker count, cycle-cache hit rates) are deliberately
 /// absent.
-void write_report_json(const std::string& path,
-                       const serve::ServingReport& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"offered\": %zu,\n", r.offered);
-  std::fprintf(f, "  \"completed\": %zu,\n", r.completed);
-  std::fprintf(f, "  \"rejected\": %zu,\n", r.rejected);
-  std::fprintf(f, "  \"makespan_cycles\": %llu,\n",
+void write_serving_fields(std::FILE* f, const serve::ServingReport& r,
+                          const char* in) {
+  std::fprintf(f, "%s\"offered\": %zu,\n", in, r.offered);
+  std::fprintf(f, "%s\"completed\": %zu,\n", in, r.completed);
+  std::fprintf(f, "%s\"rejected\": %zu,\n", in, r.rejected);
+  std::fprintf(f, "%s\"makespan_cycles\": %llu,\n", in,
                static_cast<unsigned long long>(r.makespan_cycles));
-  std::fprintf(f, "  \"throughput_stories_per_second\": %.6f,\n",
+  std::fprintf(f, "%s\"throughput_stories_per_second\": %.6f,\n", in,
                r.throughput_stories_per_second);
-  std::fprintf(f, "  \"accuracy\": %.9f,\n", r.accuracy);
-  std::fprintf(f, "  \"early_exit_rate\": %.9f,\n", r.early_exit_rate);
-  std::fprintf(f, "  \"latency_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.latency.mean_cycles, r.latency.p50_cycles,
-               r.latency.p95_cycles, r.latency.p99_cycles,
-               r.latency.max_cycles);
-  std::fprintf(f, "  \"queue_wait_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.queue_wait.mean_cycles, r.queue_wait.p50_cycles,
-               r.queue_wait.p95_cycles, r.queue_wait.p99_cycles,
-               r.queue_wait.max_cycles);
-  std::fprintf(f, "  \"deadline\": {\"total\": %llu, \"missed\": %llu, "
-               "\"hit_rate\": %.9f},\n",
+  std::fprintf(f, "%s\"accuracy\": %.9f,\n", in, r.accuracy);
+  std::fprintf(f, "%s\"early_exit_rate\": %.9f,\n", in, r.early_exit_rate);
+  write_summary(f, in, "latency_cycles", r.latency);
+  write_summary(f, in, "queue_wait_cycles", r.queue_wait);
+  std::fprintf(f, "%s\"deadline\": {\"total\": %llu, \"missed\": %llu, "
+               "\"hit_rate\": %.9f},\n", in,
                static_cast<unsigned long long>(r.deadline_total),
                static_cast<unsigned long long>(r.deadline_missed),
                r.deadline_hit_rate);
-  std::fprintf(f, "  \"shed\": {\"queue_full\": %llu, \"quota\": %llu, "
-               "\"doomed\": %llu, \"overload\": %llu},\n",
+  std::fprintf(f, "%s\"shed\": {\"queue_full\": %llu, \"quota\": %llu, "
+               "\"doomed\": %llu, \"overload\": %llu},\n", in,
                static_cast<unsigned long long>(
                    r.shed.count(serve::ShedReason::kQueueFull)),
                static_cast<unsigned long long>(
@@ -387,47 +400,49 @@ void write_report_json(const std::string& path,
                    r.shed.count(serve::ShedReason::kDoomed)),
                static_cast<unsigned long long>(
                    r.shed.count(serve::ShedReason::kOverload)));
-  std::fprintf(f, "  \"fairness_index\": %.9f,\n", r.fairness_index);
-  std::fprintf(f, "  \"tenants\": [");
+  std::fprintf(f, "%s\"fairness_index\": %.9f,\n", in, r.fairness_index);
+  std::fprintf(f, "%s\"tenants\": [", in);
   for (std::size_t i = 0; i < r.tenants.size(); ++i) {
     const serve::TenantReport& t = r.tenants[i];
     std::fprintf(f,
-                 "%s\n    {\"tenant\": %u, \"tier\": %u, \"weight\": %.6f, "
+                 "%s\n%s  {\"tenant\": %u, \"tier\": %u, \"weight\": %.6f, "
                  "\"admitted\": %llu, \"completed\": %llu, "
                  "\"with_deadline\": %llu, \"violations\": %llu, "
                  "\"shed\": %llu}",
-                 i == 0 ? "" : ",", t.tenant, t.tier, t.weight,
+                 i == 0 ? "" : ",", in, t.tenant, t.tier, t.weight,
                  static_cast<unsigned long long>(t.admitted),
                  static_cast<unsigned long long>(t.completed),
                  static_cast<unsigned long long>(t.with_deadline),
                  static_cast<unsigned long long>(t.violations),
                  static_cast<unsigned long long>(t.shed.total()));
   }
-  std::fprintf(f, "%s],\n", r.tenants.empty() ? "" : "\n  ");
-  std::fprintf(f, "  \"mean_batch_size\": %.6f,\n", r.mean_batch_size);
-  std::fprintf(f, "  \"batching_efficiency\": %.6f,\n",
+  if (!r.tenants.empty()) {
+    std::fprintf(f, "\n%s", in);
+  }
+  std::fprintf(f, "],\n");
+  std::fprintf(f, "%s\"mean_batch_size\": %.6f,\n", in, r.mean_batch_size);
+  std::fprintf(f, "%s\"batching_efficiency\": %.6f,\n", in,
                r.batching_efficiency);
-  std::fprintf(f, "  \"mean_device_utilization\": %.9f,\n",
+  std::fprintf(f, "%s\"mean_device_utilization\": %.9f,\n", in,
                r.mean_device_utilization);
-  std::fprintf(f, "  \"model_uploads\": %llu,\n",
+  std::fprintf(f, "%s\"model_uploads\": %llu,\n", in,
                static_cast<unsigned long long>(r.model_uploads));
-  std::fprintf(f, "  \"model_evictions\": %llu,\n",
+  std::fprintf(f, "%s\"model_evictions\": %llu,\n", in,
                static_cast<unsigned long long>(r.model_evictions));
-  std::fprintf(f, "  \"stolen_batches\": %llu,\n",
+  std::fprintf(f, "%s\"stolen_batches\": %llu,\n", in,
                static_cast<unsigned long long>(r.stolen_batches));
-  std::fprintf(f, "  \"energy\": {\"total_joules\": %.9f, "
-               "\"per_inference_joules\": %.9f}\n",
+  std::fprintf(f, "%s\"energy\": {\"total_joules\": %.9f, "
+               "\"per_inference_joules\": %.9f}\n", in,
                r.energy.total_joules, r.energy.per_inference_joules);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
 }
 
-/// The fleet flavour of the report: the deterministic slice of a
-/// ClusterReport (merged-stream percentiles, fleet energy, autoscaler
-/// counters). Host-dependent fields (wall clock, cycle-cache hit rate)
-/// are deliberately absent, same as the bare-session report above.
-void write_cluster_report_json(const std::string& path,
-                               const cluster::ClusterReport& r) {
+/// The report JSON: the deterministic slice of a ClusterReport
+/// (merged-stream percentiles, fleet energy, autoscaler counters), then
+/// one per_instance entry per instance with its routing counters and its
+/// write_serving_fields() slice. Host-dependent fields are absent here
+/// too.
+void write_report_json(const std::string& path,
+                       const cluster::ClusterReport& r) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -444,16 +459,8 @@ void write_cluster_report_json(const std::string& path,
                static_cast<unsigned long long>(r.makespan_cycles));
   std::fprintf(f, "  \"throughput_stories_per_second\": %.6f,\n",
                r.throughput_stories_per_second);
-  std::fprintf(f, "  \"latency_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.latency.mean_cycles, r.latency.p50_cycles,
-               r.latency.p95_cycles, r.latency.p99_cycles,
-               r.latency.max_cycles);
-  std::fprintf(f, "  \"queue_wait_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.queue_wait.mean_cycles, r.queue_wait.p50_cycles,
-               r.queue_wait.p95_cycles, r.queue_wait.p99_cycles,
-               r.queue_wait.max_cycles);
+  write_summary(f, "  ", "latency_cycles", r.latency);
+  write_summary(f, "  ", "queue_wait_cycles", r.queue_wait);
   std::fprintf(f, "  \"deadline\": {\"total\": %llu, \"missed\": %llu, "
                "\"hit_rate\": %.9f},\n",
                static_cast<unsigned long long>(r.deadline_total),
@@ -474,39 +481,23 @@ void write_cluster_report_json(const std::string& path,
   for (std::size_t i = 0; i < r.instance_reports.size(); ++i) {
     const cluster::InstanceReport& inst = r.instance_reports[i];
     std::fprintf(f,
-                 "%s\n    {\"id\": %zu, \"routed\": %llu, "
-                 "\"active_cycles\": %llu, \"completed\": %zu, "
-                 "\"rejected\": %zu}",
+                 "%s\n    {\n      \"id\": %zu,\n      \"routed\": %llu,\n"
+                 "      \"active_cycles\": %llu,\n",
                  i == 0 ? "" : ",", inst.id,
                  static_cast<unsigned long long>(inst.routed),
-                 static_cast<unsigned long long>(inst.active_cycles),
-                 inst.report.completed, inst.report.rejected);
+                 static_cast<unsigned long long>(inst.active_cycles));
+    write_serving_fields(f, inst.report, "      ");
+    std::fprintf(f, "    }");
   }
   std::fprintf(f, "%s]\n", r.instance_reports.empty() ? "" : "\n  ");
   std::fprintf(f, "}\n");
   std::fclose(f);
 }
 
-/// Fleet template from the daemon knobs: each instance gets the full
-/// per-instance stack (make_config); the router/autoscaler ride on top.
-/// The daemon never autoscales — parking decisions belong to recorded
-/// schedules with a known span (the bench), not an open stdin stream.
-cluster::ClusterConfig make_cluster_config(const DaemonOptions& opts,
-                                           obs::MetricsRegistry* metrics,
-                                           obs::TraceRecorder* trace) {
-  cluster::ClusterConfig config;
-  config.instances = opts.cluster;
-  config.server = make_config(opts, metrics, trace);
-  config.router.kind = opts.router;
-  config.router.seed = opts.seed;
-  config.fleet_threads = opts.fleet_threads;
-  return config;
-}
-
 // ------------------------------------------------------------ closed loop
 
 /// One-shot comparison baseline: the recorded schedule served by the
-/// historical closed loop (Server::run over kTrace traffic).
+/// fleet's closed loop (Cluster::run over kTrace traffic).
 int run_closed_loop(const DaemonOptions& opts, Workload& workload) {
   std::vector<serve::TraceEntry> trace;
   try {
@@ -520,8 +511,6 @@ int run_closed_loop(const DaemonOptions& opts, Workload& workload) {
                  opts.closed_loop.c_str());
     return 2;
   }
-  serve::ServerConfig config = make_config(opts, nullptr, nullptr);
-  config.traffic.process = serve::ArrivalProcess::kTrace;
   for (serve::TraceEntry& entry : trace) {
     entry.task %= workload.models.size();
     if (opts.tenants > 0 && entry.tenant >= opts.tenants) {
@@ -531,31 +520,18 @@ int run_closed_loop(const DaemonOptions& opts, Workload& workload) {
       return 2;
     }
   }
-  config.traffic.trace = trace;
-  if (opts.cluster > 0) {
-    cluster::ClusterConfig fleet_config =
-        make_cluster_config(opts, nullptr, nullptr);
-    fleet_config.server = config;  // carries the trace traffic
-    cluster::Cluster fleet(std::move(fleet_config), workload.models);
-    const cluster::ClusterReport report = fleet.run(trace.size());
-    if (!opts.report_json.empty()) {
-      write_cluster_report_json(opts.report_json, report);
-    }
-    std::printf("closed-loop instances=%zu policy=%s offered=%zu "
-                "completed=%zu rejected=%zu router_shed=%zu makespan=%llu\n",
-                report.instances, report.policy.c_str(), report.offered,
-                report.completed, report.rejected, report.router_shed,
-                static_cast<unsigned long long>(report.makespan_cycles));
-    return 0;
-  }
-  const serve::Server server(config, std::move(workload.models));
-  const serve::ServingReport report = server.run(trace.size());
+  cluster::ClusterConfig config = make_config(opts, nullptr, nullptr);
+  config.server.traffic.process = serve::ArrivalProcess::kTrace;
+  config.server.traffic.trace = trace;
+  cluster::Cluster fleet(std::move(config), workload.models);
+  const cluster::ClusterReport report = fleet.run(trace.size());
   if (!opts.report_json.empty()) {
     write_report_json(opts.report_json, report);
   }
-  std::printf("closed-loop offered=%zu completed=%zu rejected=%zu "
-              "makespan=%llu\n",
-              report.offered, report.completed, report.rejected,
+  std::printf("closed-loop instances=%zu policy=%s offered=%zu "
+              "completed=%zu rejected=%zu router_shed=%zu makespan=%llu\n",
+              report.instances, report.policy.c_str(), report.offered,
+              report.completed, report.rejected, report.router_shed,
               static_cast<unsigned long long>(report.makespan_cycles));
   return 0;
 }
@@ -618,17 +594,16 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// The manager: sole owner of the session (or the fleet under
-/// --cluster), sole stdout writer. Commands execute strictly in arrival
-/// order, and each command is followed by one pump (advance + stream
-/// resolved requests), so the entire output byte stream is a pure
-/// function of the input line sequence. Exactly one of `session`/`fleet`
-/// is non-null.
+/// The manager: sole owner of the fleet, sole stdout writer. Commands
+/// execute strictly in arrival order, and each accepted command is
+/// followed by one pump (advance + stream resolved requests; a refused
+/// one changed nothing to advance), so the entire output byte stream is
+/// a pure function of the input line sequence.
 class Manager {
  public:
-  Manager(const DaemonOptions& opts, serve::ServerSession* session,
-          cluster::Cluster* fleet, obs::TraceRecorder* trace)
-      : opts_(opts), session_(session), fleet_(fleet), trace_(trace) {}
+  Manager(const DaemonOptions& opts, cluster::Cluster& fleet,
+          obs::TraceRecorder* trace)
+      : opts_(opts), fleet_(fleet), trace_(trace) {}
 
   /// True while the daemon should keep reading commands.
   [[nodiscard]] bool running() const noexcept { return !quitting_; }
@@ -640,46 +615,41 @@ class Manager {
     }
     try {
       dispatch(tokens);
+      if (!quitting_) {
+        pump();  // can throw only the serving watchdog's error
+      }
     } catch (const std::exception& e) {
       std::printf("err %s\n", e.what());
-    }
-    if (!quitting_) {
-      pump();
     }
     std::fflush(stdout);
   }
 
   /// EOF or quit: drain, run to quiescence, stream the tail, report.
-  /// Owns the report JSON too — the session and fleet schemas differ.
-  void finish() {
-    if (fleet_ != nullptr) {
+  /// Returns the process exit code (1 when the fleet cannot finish).
+  int finish() {
+    int rc = 0;
+    try {
       // Cluster::finalize() folds (and discards) any still-pending
       // completions into its percentiles, so stream the tail first; the
       // drain + quiescence pass below makes finalize's own a no-op.
-      fleet_->drain();
-      (void)fleet_->step_until(sim::kNever);
+      fleet_.drain();
+      (void)fleet_.step_until(sim::kNever);
       emit_completions();
-      const cluster::ClusterReport report = fleet_->finalize();
+      const cluster::ClusterReport report = fleet_.finalize();
       std::printf("bye offered=%zu completed=%zu rejected=%zu "
                   "router_shed=%zu makespan=%llu\n",
                   report.offered, report.completed, report.rejected,
                   report.router_shed,
                   static_cast<unsigned long long>(report.makespan_cycles));
       if (!opts_.report_json.empty()) {
-        write_cluster_report_json(opts_.report_json, report);
-      }
-    } else {
-      const serve::ServingReport report = session_->finalize();
-      emit_completions();
-      std::printf("bye offered=%zu completed=%zu rejected=%zu "
-                  "makespan=%llu\n",
-                  report.offered, report.completed, report.rejected,
-                  static_cast<unsigned long long>(report.makespan_cycles));
-      if (!opts_.report_json.empty()) {
         write_report_json(opts_.report_json, report);
       }
+    } catch (const std::exception& e) {
+      std::printf("err %s\n", e.what());
+      rc = 1;
     }
     std::fflush(stdout);
+    return rc;
   }
 
  private:
@@ -688,14 +658,18 @@ class Manager {
   }
 
   static std::uint64_t parse_count(const std::string& token,
-                                   const char* what) {
-    // strtoull negates a leading '-' into a huge count, so reject it.
+                                   const char* what,
+                                   std::uint64_t max = UINT64_MAX) {
+    // strtoull negates a leading '-' into a huge count, so reject it;
+    // out-of-range values saturate (ERANGE) or exceed `max`.
     char* end = nullptr;
+    errno = 0;
     const unsigned long long parsed =
         std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || token.front() == '-') {
-      fail(std::string(what) + " needs a non-negative integer, got '" +
-           token + "'");
+    if (end == token.c_str() || *end != '\0' || token.front() == '-' ||
+        errno == ERANGE || parsed > max) {
+      fail(std::string(what) + " needs an integer in 0.." +
+           std::to_string(max) + ", got '" + token + "'");
     }
     return parsed;
   }
@@ -707,6 +681,12 @@ class Manager {
       fail(std::string(what) + " needs a number, got '" + token + "'");
     }
     return parsed;
+  }
+
+  static serve::TenantId parse_tenant(const std::string& token,
+                                      const char* what) {
+    return static_cast<serve::TenantId>(parse_count(
+        token, what, std::numeric_limits<serve::TenantId>::max()));
   }
 
   void dispatch(const std::vector<std::string>& tokens) {
@@ -722,12 +702,8 @@ class Manager {
     } else if (command == "step") {
       cmd_step(tokens);
     } else if (command == "drain") {
-      if (fleet_ != nullptr) {
-        fleet_->drain();
-        drained_ = true;
-      } else {
-        session_->drain();
-      }
+      fleet_.drain();
+      drained_ = true;
       std::printf("ok drain\n");
     } else if (command == "quit") {
       quitting_ = true;
@@ -745,8 +721,7 @@ class Manager {
     serve::SubmitRequest request;
     request.task = parse_count(tokens[1], "task");
     if (tokens.size() > 2) {
-      request.tenant = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant"));
+      request.tenant = parse_tenant(tokens[2], "tenant");
     }
     if (tokens.size() > 3) {
       request.deadline_cycles = parse_count(tokens[3], "deadline");
@@ -754,23 +729,21 @@ class Manager {
     if (tokens.size() > 4) {
       request.at_cycle = parse_count(tokens[4], "at");
     }
-    if (fleet_ != nullptr) {
-      const cluster::Cluster::Submission sub = fleet_->submit(request);
-      if (!sub.instance.has_value()) {
-        std::printf("ok shed=router\n");
-      } else {
-        std::printf("ok id=%llu instance=%zu at=%llu\n",
-                    static_cast<unsigned long long>(sub.id), *sub.instance,
-                    static_cast<unsigned long long>(
-                        fleet_->last_submitted_arrival()));
-      }
+    if (opts_.lockstep) {
+      // Route against the fleet as it stands at the arrival, exactly as
+      // Cluster::run() does; validate() refuses a bad request before
+      // the clock moves.
+      (void)fleet_.step_until(fleet_.validate(request));
+    }
+    const cluster::Cluster::Submission sub = fleet_.submit(request);
+    if (!sub.instance.has_value()) {
+      std::printf("ok shed=router\n");
       return;
     }
-    const serve::RequestId id = session_->submit(request);
-    std::printf("ok id=%llu at=%llu\n",
-                static_cast<unsigned long long>(id),
+    std::printf("ok id=%llu instance=%zu at=%llu\n",
+                static_cast<unsigned long long>(sub.id), *sub.instance,
                 static_cast<unsigned long long>(
-                    session_->last_submitted_arrival()));
+                    fleet_.last_submitted_arrival()));
   }
 
   void cmd_config(const std::vector<std::string>& tokens) {
@@ -783,21 +756,16 @@ class Manager {
         fail("config tenant <id> <tier> <weight> <quota_interarrival> "
              "<quota_burst> <slo>");
       }
-      const auto id = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant id"));
+      const serve::TenantId id = parse_tenant(tokens[2], "tenant id");
       serve::TenantConfig config;
       config.tier = static_cast<std::uint32_t>(
-          parse_count(tokens[3], "tier"));
+          parse_count(tokens[3], "tier", UINT32_MAX));
       config.weight = parse_real(tokens[4], "weight");
       config.quota_interarrival_cycles =
           parse_real(tokens[5], "quota_interarrival");
       config.quota_burst = parse_real(tokens[6], "quota_burst");
       config.slo_deadline_cycles = parse_count(tokens[7], "slo");
-      if (fleet_ != nullptr) {
-        fleet_->set_tenant(id, config);
-      } else {
-        session_->set_tenant(id, config);
-      }
+      fleet_.set_tenant(id, config);
       std::printf("ok config tenant %u\n", id);
     } else if (what == "slo") {
       if (tokens.size() < 3) {
@@ -810,11 +778,7 @@ class Manager {
       for (std::size_t i = 3; i < tokens.size(); ++i) {
         slo.per_task.push_back(parse_count(tokens[i], "per-task deadline"));
       }
-      if (fleet_ != nullptr) {
-        fleet_->set_slo(slo);
-      } else {
-        session_->set_slo(slo);
-      }
+      fleet_.set_slo(slo);
       std::printf("ok config slo\n");
     } else if (what == "policy") {
       if (tokens.size() != 3) {
@@ -831,9 +795,7 @@ class Manager {
         fail("config policy fifo|edf|wfq");
         return;
       }
-      const bool switched = fleet_ != nullptr ? fleet_->set_policy(policy)
-                                              : session_->set_policy(policy);
-      if (switched) {
+      if (fleet_.set_policy(policy)) {
         std::printf("ok config policy %s\n", tokens[2].c_str());
       } else {
         std::printf("err policy wfq needs a session started under wfq "
@@ -861,74 +823,53 @@ class Manager {
     }
     const sim::Cycle cycles =
         tokens.size() == 2 ? parse_count(tokens[1], "cycles") : 0;
-    if (fleet_ != nullptr) {
-      // step N = advance the lockstep horizon by N; step = quiescence,
-      // matching ServerSession::step's contract.
-      const bool idle = fleet_->step_until(
-          cycles == 0 ? sim::kNever : fleet_->now() + cycles);
-      std::printf("ok step cycle=%llu idle=%d\n",
-                  static_cast<unsigned long long>(fleet_->now()),
-                  idle ? 1 : 0);
-      return;
-    }
-    const bool idle = session_->step(cycles);
+    // step N advances the lockstep horizon by N, saturating at
+    // quiescence instead of wrapping; step (or step 0) = quiescence. A
+    // horizon at or past the serving watchdog answers err, moving nothing.
+    const sim::Cycle now = fleet_.now();
+    const bool idle = fleet_.step_until(
+        cycles == 0 || cycles >= sim::kNever - now ? sim::kNever
+                                                   : now + cycles);
     std::printf("ok step cycle=%llu idle=%d\n",
-                static_cast<unsigned long long>(session_->now()),
+                static_cast<unsigned long long>(fleet_.now()),
                 idle ? 1 : 0);
   }
 
   /// Advance per the clocking mode, then stream resolved requests.
   void pump() {
-    if (fleet_ != nullptr) {
-      if (opts_.lockstep && !drained_) {
-        (void)fleet_->step_until(fleet_->last_submitted_arrival());
-      } else {
-        (void)fleet_->step_until(sim::kNever);
-      }
-    } else if (opts_.lockstep && !session_->draining()) {
-      // Never run past the last vouched-for arrival (exclusive), so the
-      // replayed schedule batches exactly like the closed loop.
-      (void)session_->step_until(session_->last_submitted_arrival());
-    } else {
-      (void)session_->step(0);
-    }
+    // Under lockstep, never run past the last vouched-for arrival
+    // (exclusive), so the replayed schedule batches exactly like the
+    // closed loop.
+    (void)fleet_.step_until(opts_.lockstep && !drained_
+                                ? fleet_.last_submitted_arrival()
+                                : sim::kNever);
     emit_completions();
   }
 
   void emit_completions() {
-    if (fleet_ != nullptr) {
-      for (const cluster::ClusterCompletion& c : fleet_->poll_completions()) {
-        emit_resolved(c.completion, static_cast<long long>(c.instance));
-      }
-    } else {
-      for (const serve::Completion& c : session_->poll_completions()) {
-        emit_resolved(c, -1);
-      }
+    for (const cluster::ClusterCompletion& c : fleet_.poll_completions()) {
+      emit_resolved(c.completion, c.instance);
     }
   }
 
-  /// One `done`/`shed` stream line; instance >= 0 (cluster mode) appends
-  /// an `instance=` token so drivers can attribute the resolution.
-  void emit_resolved(const serve::Completion& c, long long instance) {
-    char tag[32] = "";
-    if (instance >= 0) {
-      std::snprintf(tag, sizeof(tag), " instance=%lld", instance);
-    }
+  /// One `done`/`shed` stream line, tagged with the serving instance.
+  void emit_resolved(const serve::Completion& c, std::size_t instance) {
     const serve::InferenceResponse& r = c.response;
     if (serve::outcome_is_shed(c.outcome)) {
       std::printf("shed id=%llu task=%zu tenant=%u reason=%s "
-                  "cycle=%llu%s\n",
+                  "cycle=%llu instance=%zu\n",
                   static_cast<unsigned long long>(r.id), r.task,
                   r.tenant, serve::request_outcome_name(c.outcome),
-                  static_cast<unsigned long long>(c.cycle), tag);
+                  static_cast<unsigned long long>(c.cycle), instance);
     } else {
       std::printf("done id=%llu task=%zu tenant=%u outcome=%s "
-                  "enqueue=%llu complete=%llu latency=%llu%s\n",
+                  "enqueue=%llu complete=%llu latency=%llu instance=%zu\n",
                   static_cast<unsigned long long>(r.id), r.task,
                   r.tenant, serve::request_outcome_name(c.outcome),
                   static_cast<unsigned long long>(r.enqueue_cycle),
                   static_cast<unsigned long long>(r.complete_cycle),
-                  static_cast<unsigned long long>(r.latency_cycles()), tag);
+                  static_cast<unsigned long long>(r.latency_cycles()),
+                  instance);
     }
     ++resolved_since_info_;
     if (opts_.info_every > 0 && resolved_since_info_ >= opts_.info_every) {
@@ -938,47 +879,31 @@ class Manager {
   }
 
   void print_info() {
-    if (fleet_ != nullptr) {
-      const cluster::ClusterInfo fleet_info = fleet_->info();
-      std::printf("info cycle=%llu instances=%zu active=%zu offered=%zu "
-                  "router_shed=%zu policy=%s\n",
-                  static_cast<unsigned long long>(fleet_info.cycle),
-                  fleet_info.instances, fleet_info.active,
-                  fleet_info.offered, fleet_info.router_shed,
-                  fleet_->policy_name());
-      for (std::size_t i = 0; i < fleet_info.per_instance.size(); ++i) {
-        print_session_info(fleet_info.per_instance[i],
-                           static_cast<long long>(i));
-      }
-      return;
+    const cluster::ClusterInfo fleet_info = fleet_.info();
+    std::printf("info cycle=%llu instances=%zu active=%zu offered=%zu "
+                "router_shed=%zu policy=%s\n",
+                static_cast<unsigned long long>(fleet_info.cycle),
+                fleet_info.instances, fleet_info.active, fleet_info.offered,
+                fleet_info.router_shed, fleet_.policy_name());
+    for (std::size_t i = 0; i < fleet_info.per_instance.size(); ++i) {
+      const serve::SessionInfo& info = fleet_info.per_instance[i];
+      std::printf("info[%zu] cycle=%llu offered=%zu admitted=%zu "
+                  "completed=%zu shed=%zu pending=%zu in_flight=%zu "
+                  "policy=%s draining=%d\n",
+                  i, static_cast<unsigned long long>(info.cycle),
+                  info.offered, info.admitted, info.completed, info.shed,
+                  info.batcher_pending + info.scheduler_pending,
+                  info.in_flight,
+                  serve::scheduler_policy_name(info.policy),
+                  info.draining ? 1 : 0);
     }
-    print_session_info(session_->info(), -1);
-  }
-
-  static void print_session_info(const serve::SessionInfo& info,
-                                 long long instance) {
-    char label[32] = "info";
-    if (instance >= 0) {
-      std::snprintf(label, sizeof(label), "info[%lld]", instance);
-    }
-    std::printf("%s cycle=%llu offered=%zu admitted=%zu completed=%zu "
-                "shed=%zu pending=%zu in_flight=%zu policy=%s "
-                "draining=%d\n",
-                label,
-                static_cast<unsigned long long>(info.cycle), info.offered,
-                info.admitted, info.completed, info.shed,
-                info.batcher_pending + info.scheduler_pending,
-                info.in_flight,
-                serve::scheduler_policy_name(info.policy),
-                info.draining ? 1 : 0);
   }
 
   const DaemonOptions& opts_;
-  serve::ServerSession* session_;  ///< bare mode (null under --cluster)
-  cluster::Cluster* fleet_;        ///< --cluster mode (null otherwise)
+  cluster::Cluster& fleet_;
   obs::TraceRecorder* trace_;
   std::size_t resolved_since_info_ = 0;
-  bool drained_ = false;  ///< fleet drain latch (Cluster has no draining())
+  bool drained_ = false;  ///< drain latch (Cluster has no draining())
   bool quitting_ = false;
 };
 
@@ -990,37 +915,22 @@ int run_daemon(const DaemonOptions& opts, Workload& workload) {
   if (trace != nullptr) {
     trace->set_enabled(false);  // armed by the `trace on` command
   }
-  const serve::ServerConfig config = make_config(opts, &metrics, trace);
-
-  std::optional<serve::ServerSession> session;
-  std::optional<cluster::Cluster> fleet;
-  if (opts.cluster > 0) {
-    fleet.emplace(make_cluster_config(opts, &metrics, trace),
-                  workload.models);
-    std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d "
-                "instances=%zu router=%s\n",
-                workload.models.size(),
-                std::max<std::size_t>(1, opts.tenants),
-                serve::scheduler_policy_name(config.scheduler.policy),
-                opts.lockstep ? 1 : 0, fleet->size(),
-                fleet->policy_name());
-  } else {
-    serve::SessionOptions session_options;
-    session_options.total_requests = 0;  // pure open loop
-    session.emplace(config, workload.models, session_options);
-    std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d\n",
-                session->num_tasks(), session->num_tenants(),
-                serve::scheduler_policy_name(config.scheduler.policy),
-                opts.lockstep ? 1 : 0);
-  }
+  const cluster::ClusterConfig config = make_config(opts, &metrics, trace);
+  cluster::Cluster fleet(config, workload.models);
+  std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d "
+              "instances=%zu router=%s\n",
+              workload.models.size(),
+              std::max<std::size_t>(1, opts.tenants),
+              serve::scheduler_policy_name(config.server.scheduler.policy),
+              opts.lockstep ? 1 : 0, fleet.size(), fleet.policy_name());
   std::fflush(stdout);
 
-  Manager manager(opts, session.has_value() ? &*session : nullptr,
-                  fleet.has_value() ? &*fleet : nullptr, trace);
+  Manager manager(opts, fleet, trace);
   CommandQueue queue;
 
-  // The manager thread owns the session; the main thread stays the scan
+  // The manager thread owns the fleet; the main thread stays the scan
   // loop so Ctrl-D on a terminal lands as a clean EOF-quit.
+  int rc = 0;
   std::thread manager_thread([&] {
     while (manager.running()) {
       std::optional<std::string> line = queue.pop();
@@ -1029,10 +939,10 @@ int run_daemon(const DaemonOptions& opts, Workload& workload) {
       }
       manager.execute(*line);
     }
-    manager.finish();  // streams the tail and writes --report-json
+    rc = manager.finish();  // streams the tail and writes --report-json
     if (trace != nullptr) {
       obs::write_chrome_trace(opts.trace_json, *trace,
-                              config.accel.clock_hz, &metrics);
+                              config.server.accel.clock_hz, &metrics);
     }
   });
 
@@ -1047,7 +957,7 @@ int run_daemon(const DaemonOptions& opts, Workload& workload) {
   }
   queue.close();
   manager_thread.join();
-  return 0;
+  return rc;
 }
 
 }  // namespace
