@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "accel/fx_types.hpp"
+#include "core/ith.hpp"
 #include "data/dataset.hpp"
 #include "model/memn2n.hpp"
 #include "numeric/kde.hpp"
@@ -114,6 +115,32 @@ void BM_Silhouette(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Silhouette)->Arg(64)->Arg(512);
+
+/// ITH calibration Steps 2-3 for one class: range(0) negative logits
+/// ~N(0, 1), a quarter as many positives ~N(5, 1), ρ = range(1) / 100.
+void BM_IthCalibrate(benchmark::State& state) {
+  const auto n_neg = static_cast<std::size_t>(state.range(0));
+  numeric::Rng rng(12);
+  std::vector<float> neg(n_neg);
+  for (float& z : neg) {
+    z = rng.normal();
+  }
+  std::vector<float> pos(n_neg / 4);
+  for (float& z : pos) {
+    z = 5.0F + rng.normal();
+  }
+  core::IthConfig config;
+  config.rho = static_cast<float>(state.range(1)) / 100.0F;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::InferenceThresholding::from_populations(
+        {pos}, {neg}, {0.2F}, config));
+  }
+}
+BENCHMARK(BM_IthCalibrate)
+    ->Args({128, 100})
+    ->Args({128, 95})
+    ->Args({1024, 100})
+    ->Args({1024, 95});
 
 void BM_ModelForward(benchmark::State& state) {
   data::DatasetConfig dc;

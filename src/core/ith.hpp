@@ -72,6 +72,15 @@ class InferenceThresholding {
       const model::MemN2N& model,
       std::span<const data::EncodedStory> training, const IthConfig& config);
 
+  /// Steps 2-3 on logit populations Step 1 already collected: per class,
+  /// HG_i (`positive`), HG_ī (`negative`) and the label prior p(y = i).
+  /// The three vectors hold one entry per class; throws
+  /// std::invalid_argument when their sizes differ.
+  static InferenceThresholding from_populations(
+      std::vector<std::vector<float>> positive,
+      std::vector<std::vector<float>> negative, std::vector<float> priors,
+      const IthConfig& config);
+
   /// Step 4: sequential output-layer probe with early exit.
   /// `use_index_ordering == false` probes classes in natural index order —
   /// the "ITH w/o index ordering" ablation of Fig. 3.

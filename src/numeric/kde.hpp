@@ -33,15 +33,26 @@ class KernelDensity {
   /// Density estimate p(x). Returns 0 when fitted on no data.
   [[nodiscard]] float operator()(float x) const noexcept;
 
+  /// The largest single kernel term of operator()(x) — the nearest
+  /// center's, normalised as operator() normalises its sum — in O(log n).
+  /// Every term is >= 0, so in float arithmetic operator()(x) >=
+  /// nearest_term(x), and operator()(x) <= sample_count() *
+  /// nearest_term(x) up to rounding. NaN when x or a center is NaN (no
+  /// bound holds then); 0 when fitted on no data.
+  [[nodiscard]] float nearest_term(float x) const noexcept;
+
   [[nodiscard]] float bandwidth() const noexcept { return bandwidth_; }
   [[nodiscard]] std::size_t sample_count() const noexcept { return total_; }
   [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
 
  private:
   void select_bandwidth(float requested, float sigma);
+  void sort_centers();
+  [[nodiscard]] float norm(float inv_h) const noexcept;
 
   std::vector<float> centers_;
   std::vector<float> weights_;  ///< per-center multiplicity
+  std::vector<float> sorted_centers_;  ///< non-NaN centers, ascending
   std::size_t total_ = 0;
   float bandwidth_ = 1.0F;
 };

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numbers>
+#include <span>
 #include <vector>
 
 #include "numeric/random.hpp"
@@ -97,6 +100,40 @@ TEST(KernelDensity, HistogramFitApproximatesRawFit) {
   for (float x = -3.0F; x <= 3.0F; x += 0.5F) {
     EXPECT_NEAR(raw(x), binned(x), 0.01F) << "x=" << x;
   }
+}
+
+TEST(KernelDensity, NearestTermBoundsTheDensity) {
+  Rng rng(23);
+  std::vector<float> samples;
+  for (int i = 0; i < 200; ++i) {
+    samples.push_back(rng.normal(0.0F, 1.0F) + (i % 2 == 0 ? -3.0F : 3.0F));
+  }
+  for (const float bandwidth : {0.0F, 0.05F, 1.0F}) {
+    const KernelDensity kde(samples, bandwidth);
+    const auto n = static_cast<float>(kde.sample_count());
+    for (float x = -12.0F; x <= 12.0F; x += 0.37F) {
+      const float term = kde.nearest_term(x);
+      EXPECT_LE(term, kde(x)) << "x=" << x;
+      EXPECT_LE(kde(x), n * term * 1.001F) << "x=" << x;
+    }
+    // At a sample the nearest term is the kernel's peak.
+    EXPECT_FLOAT_EQ(kde.nearest_term(samples[7]),
+                    1.0F / (kde.bandwidth() * n *
+                            std::sqrt(2.0F * std::numbers::pi_v<float>)));
+  }
+}
+
+TEST(KernelDensity, NearestTermEdgeCases) {
+  EXPECT_EQ(KernelDensity(std::span<const float>{}).nearest_term(1.0F), 0.0F);
+  const std::vector<float> plain = {1.0F, 2.0F};
+  EXPECT_TRUE(std::isnan(KernelDensity(plain).nearest_term(
+      std::numeric_limits<float>::quiet_NaN())));
+  const std::vector<float> with_nan = {
+      1.0F, std::numeric_limits<float>::quiet_NaN()};
+  EXPECT_TRUE(std::isnan(KernelDensity(with_nan, 0.5F).nearest_term(1.0F)));
+  // Far from every sample the term underflows to 0, as does the density.
+  EXPECT_EQ(KernelDensity(plain, 0.01F).nearest_term(100.0F), 0.0F);
+  EXPECT_EQ(KernelDensity(plain, 0.01F)(100.0F), 0.0F);
 }
 
 }  // namespace
